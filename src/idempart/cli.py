@@ -3,20 +3,21 @@
 Subcommands: pn, idempotents, orbits, types, verify.  Every command
 emits either a plain aligned table or, with --json, one self-describing
 JSON record per line in which all integers are exact decimal strings.
-Exit codes: 0 success, 1 verification failure, 2 argument error.
+Exit codes: 0 success, 1 an identity failed, 2 argument error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from .combinatorics import (
+    RemainderError,
     enumerate_type_vectors,
     exact_div,
     factorial,
@@ -35,8 +36,8 @@ from .verify import run_verification
 
 __all__ = ["ReportRecord", "main", "run"]
 
-DEFAULT_FORMULA_CAP = 60
-DEFAULT_PENTAGONAL_CAP = 200
+PN_CAP = 200
+TYPES_CAP = 60
 LISTING_CAP = 7
 DEFAULT_VERIFY_EXHAUSTIVE = 5
 DEFAULT_VERIFY_FORMULA = 50
@@ -96,35 +97,29 @@ def _type_key(counts: tuple[int, ...]) -> str:
     return "(" + ",".join(str(c) for c in counts) + ")"
 
 
-def _jobs(args: argparse.Namespace) -> int | None:
-    if getattr(args, "parallel", False):
-        return os.cpu_count() or 1
-    return None
-
-
 def cmd_pn(args: argparse.Namespace) -> int:
     n = args.n
     method = args.method
     start = time.perf_counter()
     if method == "pentagonal":
-        if not 0 <= n <= DEFAULT_PENTAGONAL_CAP:
+        if not 0 <= n <= PN_CAP:
             raise ArgumentRangeError(
-                f"pentagonal method accepts 0 <= n <= {DEFAULT_PENTAGONAL_CAP}, got {n}"
+                f"pentagonal method accepts 0 <= n <= {PN_CAP}, got {n}"
             )
         value = p_pentagonal(n)
     elif method == "formula":
-        if not 1 <= n <= DEFAULT_FORMULA_CAP:
+        if not 1 <= n <= PN_CAP:
             raise ArgumentRangeError(
-                f"formula method accepts 1 <= n <= {DEFAULT_FORMULA_CAP}, got {n}"
+                f"formula method accepts 1 <= n <= {PN_CAP}, got {n}"
             )
-        value = p_via_formula(n, jobs=_jobs(args))
+        value = p_via_formula(n)
     else:
         cap = brute_force_cap()
         if not 1 <= n <= cap:
             raise ArgumentRangeError(
                 f"burnside method accepts 1 <= n <= {cap}, got {n}"
             )
-        value = count_orbits_burnside(n, jobs=_jobs(args))
+        value = count_orbits_burnside(n)
     elapsed = (time.perf_counter() - start) * 1000
     _emit(
         ReportRecord(
@@ -232,10 +227,8 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
 def cmd_types(args: argparse.Namespace) -> int:
     n = args.n
-    if not 1 <= n <= DEFAULT_FORMULA_CAP:
-        raise ArgumentRangeError(
-            f"types accepts 1 <= n <= {DEFAULT_FORMULA_CAP}, got {n}"
-        )
+    if not 1 <= n <= TYPES_CAP:
+        raise ArgumentRangeError(f"types accepts 1 <= n <= {TYPES_CAP}, got {n}")
     start = time.perf_counter()
     total = 0
     rows = 0
@@ -284,7 +277,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     failures = []
     checks = 0
-    for result in run_verification(args.exhaustive, args.formula, jobs=_jobs(args)):
+    for result in run_verification(args.exhaustive, args.formula):
         checks += 1
         _emit(
             ReportRecord(
@@ -339,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="computation route (default: formula)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--parallel", action="store_true", help="shard the sum over processes")
     p.set_defaults(func=cmd_pn)
 
     p = sub.add_parser("idempotents", help="count (or list) idempotent self-maps")
@@ -362,11 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", type=int, default=DEFAULT_VERIFY_EXHAUSTIVE)
     p.add_argument("--formula", type=int, default=DEFAULT_VERIFY_FORMULA)
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument(
-        "--parallel",
-        action="store_true",
-        help="shard the type-vector sums over processes",
-    )
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -377,10 +364,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except RemainderError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ArgumentRangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def run() -> None:
+    # a reader that quits early (`idempart types 30 | head`) ends the
+    # process quietly, as for any filter, not with a BrokenPipeError
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "Partition",
+    "RemainderError",
     "TypeVector",
     "binomial",
     "enumerate_partitions",
@@ -37,11 +38,15 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+class RemainderError(ArithmeticError):
+    """A division that an identity says is exact left a remainder."""
+
+
 def exact_div(a: int, b: int) -> int:
-    """Integer quotient a // b, raising if b does not divide a."""
+    """Integer quotient a // b, raising RemainderError if b does not divide a."""
     q, r = divmod(a, b)
     if r:
-        raise ArithmeticError(f"{a} is not divisible by {b} (remainder {r})")
+        raise RemainderError(f"{a} is not divisible by {b} (remainder {r})")
     return q
 
 

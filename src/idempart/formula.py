@@ -9,19 +9,13 @@ that type multiply to one summand, and the summands total n! * p(n).
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
-
 from .combinatorics import (
-    Partition,
     TypeVector,
-    _descending_parts,
     binomial,
     enumerate_type_vectors,
     exact_div,
     factorial,
     p_pentagonal,
-    partition_to_type_vector,
 )
 from .stabilizer import stabilizer_order_formula
 
@@ -81,33 +75,43 @@ def summand_direct(n: int, g: TypeVector) -> int:
     return total
 
 
-def _summand_sum_chunk(n: int, parts_chunk: list[tuple[int, ...]]) -> int:
-    # worker for the parallel type-vector sum
-    return sum(
-        summand(n, partition_to_type_vector(Partition._unchecked(parts)))
-        for parts in parts_chunk
-    )
-
-
-def _type_sum(n: int, jobs: int | None = None) -> int:
-    """Sum of summand(n, g) over all weight-n type vectors."""
-    if jobs is not None and jobs > 1:
-        all_parts = list(_descending_parts(n))
-        chunks = [all_parts[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return sum(pool.map(_summand_sum_chunk, itertools.repeat(n), chunks))
+def _type_sum(n: int) -> int:
+    """Sum of summand(n, g) over all weight-n type vectors, term by term."""
     return sum(summand(n, g) for g in enumerate_type_vectors(n))
 
 
-def p_via_formula(n: int, *, jobs: int | None = None) -> int:
+def _type_sum_by_size(n: int) -> int:
+    """The same sum as _type_sum(n), evaluated one fiber size at a time.
+
+    Every factor a summand takes for fiber size k depends only on k, g(k)
+    and the r points that smaller sizes left free, so the sum factorises
+    over sizes like Euler's product prod 1/(1 - x^k).  After the pass for
+    size k, s[r] sums the factors of sizes k..n over every choice of
+    g(k), ..., g(n) that uses up exactly r free points.
+    """
+    s = [1] + [0] * n
+    for k in range(n, 0, -1):
+        fiber_perms = factorial(k - 1)
+        nxt = [0] * (n + 1)
+        for r in range(n + 1):
+            for g in range(r // k + 1):
+                term = fiber_perms**g * factorial(g) * binomial(r, g)
+                for v in range(1, g + 1):
+                    term *= binomial(r - g - (v - 1) * (k - 1), k - 1)
+                nxt[r] += term * s[r - k * g]
+        s = nxt
+    return s[n]
+
+
+def p_via_formula(n: int) -> int:
     """p(n) as the exact quotient of the type-vector sum by n!.
 
-    The division must come out exact; a remainder signals a bug.  With
-    jobs set the sum is sharded across processes, with identical result.
+    The sum is evaluated size by size; the division must come out exact,
+    and a remainder signals a bug.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return exact_div(_type_sum(n, jobs), factorial(n))
+    return exact_div(_type_sum_by_size(n), factorial(n))
 
 
 def total_idempotents(n: int) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import exact_div, factorial
@@ -42,7 +41,7 @@ BRUTE_CAP_ENV = "IDEMPART_BRUTE_CAP"
 
 
 def brute_force_cap() -> int:
-    """Largest n the exhaustive conjugation oracles accept (default 6)."""
+    """Largest n the exhaustive oracles accept: 6, or IDEMPART_BRUTE_CAP in 1..8."""
     raw = os.environ.get(BRUTE_CAP_ENV)
     if raw is None:
         return 6
@@ -50,8 +49,10 @@ def brute_force_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise ValueError(f"{BRUTE_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{BRUTE_CAP_ENV} must be positive, got {cap}")
+    if not 1 <= cap <= PERMUTATION_ENUM_LIMIT:
+        raise ValueError(
+            f"{BRUTE_CAP_ENV} must lie in 1..{PERMUTATION_ENUM_LIMIT}, got {cap}"
+        )
     return cap
 
 
@@ -212,29 +213,15 @@ def _stab_count(values: tuple[int, ...], perms: Sequence[Permutation]) -> int:
     return sum(1 for sigma in perms if _conjugated(values, sigma) == values)
 
 
-def _stab_sum_chunk(n: int, chunk: list[tuple[int, ...]]) -> int:
-    # worker for the parallel Burnside sum
-    perms = list(enumerate_permutations(n))
-    return sum(_stab_count(values, perms) for values in chunk)
-
-
-def count_orbits_burnside(n: int, *, jobs: int | None = None) -> int:
+def count_orbits_burnside(n: int) -> int:
     """Number of conjugation orbits of idempotents on [n], exhaustively.
 
     Sums brute-force stabilizer sizes over all idempotents and divides
     by n!; the division must be exact, a remainder would mean a bug.
-    With jobs set, the sum is sharded over worker processes; exact
-    integer addition makes the result identical either way.
     """
     cap = brute_force_cap()
     if not 1 <= n <= cap:
         raise ValueError(f"n must lie in 1..{cap} for the exhaustive sum, got {n}")
-    all_values = [f.values for f in enumerate_idempotents(n)]
-    if jobs is not None and jobs > 1:
-        chunks = [all_values[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            total = sum(pool.map(_stab_sum_chunk, itertools.repeat(n), chunks))
-    else:
-        perms = list(enumerate_permutations(n))
-        total = sum(_stab_count(values, perms) for values in all_values)
+    perms = list(enumerate_permutations(n))
+    total = sum(_stab_count(f.values, perms) for f in enumerate_idempotents(n))
     return exact_div(total, factorial(n))

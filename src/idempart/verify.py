@@ -21,6 +21,7 @@ from .combinatorics import (
 )
 from .formula import (
     _type_sum,
+    _type_sum_by_size,
     count_idempotents_of_type,
     cumulative_identity,
     summand,
@@ -267,15 +268,16 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
         yield _result(f"gamma-homomorphism n={n}", ok, "hom/surjectivity failed")
 
 
-def _check_formula_level(n: int, jobs: int | None) -> Iterator[CheckResult]:
+def _check_formula_level(n: int) -> Iterator[CheckResult]:
     pn = p_pentagonal(n)
     nfact = factorial(n)
-    total = _type_sum(n, jobs)
-    ok = total % nfact == 0 and total // nfact == pn
+    total = _type_sum(n)
+    by_size = _type_sum_by_size(n)
+    ok = total == by_size and total % nfact == 0 and total // nfact == pn
     yield _result(
         f"formula-pn n={n}",
         ok,
-        f"sum {total} vs n! * p(n) = {nfact * pn}",
+        f"term sum {total}, size-by-size sum {by_size}, n! * p(n) = {nfact * pn}",
     )
     if n <= 25:
         count = sum(1 for _ in enumerate_partitions(n))
@@ -291,15 +293,12 @@ def _check_formula_level(n: int, jobs: int | None) -> Iterator[CheckResult]:
         yield _result(f"summand-decomposition n={n}", ok, "factored != literal")
 
 
-def run_verification(
-    nmax_exhaustive: int, nmax_formula: int, *, jobs: int | None = None
-) -> Iterator[CheckResult]:
+def run_verification(nmax_exhaustive: int, nmax_formula: int) -> Iterator[CheckResult]:
     """Run every cross-check up to the given depth caps.
 
     nmax_exhaustive bounds the enumeration-backed identities and must
     not exceed the brute-force cap; nmax_formula bounds the pure
-    formula identities.  jobs shards the type-vector sums over worker
-    processes without changing any result.
+    formula identities.
     """
     cap = brute_force_cap()
     if not 1 <= nmax_exhaustive <= cap:
@@ -313,7 +312,7 @@ def run_verification(
         yield from _check_exhaustive_level(n)
     yield from _check_gu_axioms(rng)
     for n in range(1, nmax_formula + 1):
-        yield from _check_formula_level(n, jobs)
+        yield from _check_formula_level(n)
     m = min(nmax_formula, 12)
     lhs, rhs = cumulative_identity(m)
     yield _result(

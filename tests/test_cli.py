@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from idempart import formula
 from idempart.cli import main
 from idempart.symmetric import BRUTE_CAP_ENV
 
@@ -63,17 +64,31 @@ def test_pn_methods_agree(capsys):
 def test_pn_out_of_range_exits_2(capsys):
     assert main(["pn", "99", "--method", "burnside"]) == 2
     capsys.readouterr()
-    assert main(["pn", "61", "--method", "formula"]) == 2
+    assert main(["pn", "201", "--method", "formula"]) == 2
     capsys.readouterr()
     assert main(["pn", "201", "--method", "pentagonal"]) == 2
     capsys.readouterr()
+    assert main(["types", "61"]) == 2
+    capsys.readouterr()
 
 
-def test_pn_parallel_matches_serial(capsys):
-    code, serial = run_cli(capsys, "pn", "12", "--json")
-    code2, parallel = run_cli(capsys, "pn", "12", "--json", "--parallel")
-    assert code == code2 == 0
-    assert strip_elapsed(json_records(serial)) == strip_elapsed(json_records(parallel))
+def test_pn_formula_matches_pentagonal_beyond_types_cap(capsys):
+    for n in ("61", "200"):
+        values = set()
+        for method in ("formula", "pentagonal"):
+            code, out = run_cli(capsys, "pn", n, "--method", method, "--json")
+            assert code == 0
+            values.add(json_records(out)[0]["p"])
+        assert len(values) == 1
+
+
+def test_pn_remainder_exits_1(capsys, monkeypatch):
+    exact = formula._type_sum_by_size
+    monkeypatch.setattr(formula, "_type_sum_by_size", lambda n: exact(n) + 1)
+    assert main(["pn", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "not divisible" in captured.err
 
 
 def test_idempotents_counts(capsys):
@@ -232,6 +247,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p"] == "11"
+
+
+def test_closed_pipe_ends_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "idempart", "types", "30"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    # the full listing far exceeds a pipe buffer, so the writer is still
+    # running when the reader goes away
+    proc.stdout.readline()
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert "Traceback" not in err
+    assert code not in (1, 2)
 
 
 def test_unknown_command_exits_2():

@@ -10,6 +10,7 @@ from idempart import (
     enumerate_idempotents_bruteforce,
     enumerate_type_vectors,
     factorial,
+    formula,
     p_pentagonal,
     p_via_formula,
     summand,
@@ -85,8 +86,9 @@ def test_sum_is_divisible_by_factorial():
         assert total % factorial(n) == 0
 
 
-def test_p_via_formula_parallel_matches_serial():
-    assert p_via_formula(20, jobs=2) == p_via_formula(20)
+def test_size_by_size_sum_matches_term_sum():
+    for n in range(1, 31):
+        assert formula._type_sum_by_size(n) == formula._type_sum(n)
 
 
 def test_p_via_formula_rejects_zero():
