@@ -3,7 +3,11 @@
 Subcommands: pn, idempotents, orbits, types, verify.  Every command
 emits either a plain aligned table or, with --json, one self-describing
 JSON record per line in which all integers are exact decimal strings.
-Exit codes: 0 success, 1 an identity failed, 2 argument error.
+Every integer argument is checked against one limits table before the
+command runs.  Exit codes: 0 success, 1 an identity failed, 2 an
+argument outside the table or a malformed IDEMPART_BRUTE_CAP.  Any other
+error inside a command is a bug and propagates as a traceback instead
+of being reported as a bad argument.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import json
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
 from .combinatorics import (
@@ -34,7 +37,7 @@ from .symmetric import (
 from .transformations import enumerate_idempotents, type_vector_of
 from .verify import run_verification
 
-__all__ = ["ReportRecord", "main", "run"]
+__all__ = ["main", "run"]
 
 PN_CAP = 200
 TYPES_CAP = 60
@@ -42,36 +45,50 @@ LISTING_CAP = 7
 DEFAULT_VERIFY_EXHAUSTIVE = 5
 DEFAULT_VERIFY_FORMULA = 50
 
+# Accepted range of every integer argument, one row per command variant.
+# An upper bound given as a function is read only when its row is checked,
+# so a malformed IDEMPART_BRUTE_CAP cannot fail a command that ignores it.
+# The p(n)-term enumerations (idempotents above the listing cap, types,
+# the formula levels of verify) share TYPES_CAP; the exhaustive routes
+# conjugate by all n! permutations and share the brute-force cap.
+_LIMITS = {
+    "pn --method formula": {"n": (1, PN_CAP)},
+    "pn --method pentagonal": {"n": (0, PN_CAP)},
+    "pn --method burnside": {"n": (1, brute_force_cap)},
+    "idempotents": {"n": (1, TYPES_CAP)},
+    "idempotents --list": {"n": (1, LISTING_CAP)},
+    "orbits": {"n": (1, brute_force_cap)},
+    "types": {"n": (1, TYPES_CAP)},
+    "verify": {
+        "--exhaustive": (1, brute_force_cap),
+        "--formula": (1, TYPES_CAP),
+    },
+}
 
-class ArgumentRangeError(Exception):
-    """Raised for out-of-range arguments; mapped to exit code 2."""
+
+def _row(args: argparse.Namespace) -> str:
+    if args.command == "pn":
+        return f"pn --method {args.method}"
+    if args.command == "idempotents" and args.list:
+        return "idempotents --list"
+    return args.command
 
 
-@dataclass
-class ReportRecord:
-    """One output record: command, parameters, results, method, timing.
-
-    Integer values are rendered as exact decimal strings so that
-    nothing is ever squeezed through floating point.
-    """
-
-    command: str
-    params: dict[str, Any] = field(default_factory=dict)
-    results: dict[str, Any] = field(default_factory=dict)
-    method: str = ""
-    elapsed_ms: float | None = None
-
-    def as_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"command": self.command}
-        for key, value in self.params.items():
-            out[key] = _stringify(value)
-        for key, value in self.results.items():
-            out[key] = _stringify(value)
-        if self.method:
-            out["method"] = self.method
-        if self.elapsed_ms is not None:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return out
+def _limit_error(args: argparse.Namespace) -> str | None:
+    """Why the arguments miss their row of _LIMITS, or None if they fit."""
+    row = _row(args)
+    for option, (low, high) in _LIMITS[row].items():
+        if callable(high):
+            # scoped to the environment read: a malformed IDEMPART_BRUTE_CAP
+            # is bad input, not a fault inside a command
+            try:
+                high = high()
+            except ValueError as exc:
+                return str(exc)
+        value = getattr(args, option.lstrip("-"))
+        if not low <= value <= high:
+            return f"{row} accepts {low} <= {option} <= {high}, got {value}"
+    return None
 
 
 def _stringify(value: Any) -> Any:
@@ -84,13 +101,26 @@ def _stringify(value: Any) -> Any:
     return value
 
 
-def _emit(record: ReportRecord, as_json: bool) -> None:
-    data = record.as_dict()
+def _emit(as_json: bool, command: str, **fields: Any) -> None:
+    """Print one record; fields keep their order and None fields are left out.
+
+    Integer values are rendered as exact decimal strings so that nothing
+    is ever squeezed through floating point.
+    """
+    record: dict[str, Any] = {"command": command}
+    for key, value in fields.items():
+        if value is None:
+            continue
+        record[key] = round(value, 3) if key == "elapsed_ms" else _stringify(value)
     if as_json:
-        print(json.dumps(data, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
     else:
-        parts = [f"{k}={v}" for k, v in data.items() if k != "command"]
-        print(f"{data['command']}  " + "  ".join(parts))
+        parts = [f"{k}={v}" for k, v in record.items() if k != "command"]
+        print(f"{command}  " + "  ".join(parts))
+
+
+def _ms_since(start: float) -> float:
+    return (time.perf_counter() - start) * 1000
 
 
 def _type_key(counts: tuple[int, ...]) -> str:
@@ -98,65 +128,38 @@ def _type_key(counts: tuple[int, ...]) -> str:
 
 
 def cmd_pn(args: argparse.Namespace) -> int:
-    n = args.n
-    method = args.method
     start = time.perf_counter()
-    if method == "pentagonal":
-        if not 0 <= n <= PN_CAP:
-            raise ArgumentRangeError(
-                f"pentagonal method accepts 0 <= n <= {PN_CAP}, got {n}"
-            )
-        value = p_pentagonal(n)
-    elif method == "formula":
-        if not 1 <= n <= PN_CAP:
-            raise ArgumentRangeError(
-                f"formula method accepts 1 <= n <= {PN_CAP}, got {n}"
-            )
-        value = p_via_formula(n)
-    else:
-        cap = brute_force_cap()
-        if not 1 <= n <= cap:
-            raise ArgumentRangeError(
-                f"burnside method accepts 1 <= n <= {cap}, got {n}"
-            )
-        value = count_orbits_burnside(n)
-    elapsed = (time.perf_counter() - start) * 1000
+    # built per call, so that a patched or traced module name takes effect
+    route = {
+        "formula": p_via_formula,
+        "pentagonal": p_pentagonal,
+        "burnside": count_orbits_burnside,
+    }[args.method]
+    value = route(args.n)
     _emit(
-        ReportRecord(
-            "pn",
-            params={"n": n},
-            results={"p": value},
-            method=method,
-            elapsed_ms=elapsed,
-        ),
         args.json,
+        "pn",
+        n=args.n,
+        p=value,
+        method=args.method,
+        elapsed_ms=_ms_since(start),
     )
     return 0
 
 
 def cmd_idempotents(args: argparse.Namespace) -> int:
     n = args.n
-    if n < 1:
-        raise ArgumentRangeError(f"n must be positive, got {n}")
     start = time.perf_counter()
     if args.list:
-        if n > LISTING_CAP:
-            raise ArgumentRangeError(
-                f"listing accepts n <= {LISTING_CAP}, got {n}"
-            )
         count = 0
         for f in enumerate_idempotents(n):
             count += 1
             _emit(
-                ReportRecord(
-                    "idempotent",
-                    params={"n": n},
-                    results={
-                        "values": list(f.values),
-                        "type": _type_key(type_vector_of(f).counts),
-                    },
-                ),
                 args.json,
+                "idempotent",
+                n=n,
+                values=list(f.values),
+                type=_type_key(type_vector_of(f).counts),
             )
         method = "constructive"
     elif n <= LISTING_CAP:
@@ -165,25 +168,19 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
     else:
         count = total_idempotents(n)
         method = "type-sum"
-    elapsed = (time.perf_counter() - start) * 1000
     _emit(
-        ReportRecord(
-            "idempotents",
-            params={"n": n},
-            results={"count": count},
-            method=method,
-            elapsed_ms=elapsed,
-        ),
         args.json,
+        "idempotents",
+        n=n,
+        count=count,
+        method=method,
+        elapsed_ms=_ms_since(start),
     )
     return 0
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
     n = args.n
-    cap = brute_force_cap()
-    if not 1 <= n <= cap:
-        raise ArgumentRangeError(f"orbits accepts 1 <= n <= {cap}, got {n}")
     start = time.perf_counter()
     nfact = factorial(n)
     reps: dict = {}
@@ -199,36 +196,28 @@ def cmd_orbits(args: argparse.Namespace) -> int:
         all_ok &= ok
         rows += 1
         _emit(
-            ReportRecord(
-                "orbit",
-                params={"n": n},
-                results={
-                    "type": _type_key(g.counts),
-                    "orbit_size": size,
-                    "stabilizer_order": stab,
-                    "product_check": ok,
-                },
-            ),
             args.json,
+            "orbit",
+            n=n,
+            type=_type_key(g.counts),
+            orbit_size=size,
+            stabilizer_order=stab,
+            product_check=ok,
         )
-    elapsed = (time.perf_counter() - start) * 1000
     _emit(
-        ReportRecord(
-            "orbits",
-            params={"n": n},
-            results={"orbits": rows, "all_products_equal_factorial": all_ok},
-            method="exhaustive-conjugation",
-            elapsed_ms=elapsed,
-        ),
         args.json,
+        "orbits",
+        n=n,
+        orbits=rows,
+        all_products_equal_factorial=all_ok,
+        method="exhaustive-conjugation",
+        elapsed_ms=_ms_since(start),
     )
     return 0 if all_ok else 1
 
 
 def cmd_types(args: argparse.Namespace) -> int:
     n = args.n
-    if not 1 <= n <= TYPES_CAP:
-        raise ArgumentRangeError(f"types accepts 1 <= n <= {TYPES_CAP}, got {n}")
     start = time.perf_counter()
     total = 0
     rows = 0
@@ -239,76 +228,52 @@ def cmd_types(args: argparse.Namespace) -> int:
         total += term
         rows += 1
         _emit(
-            ReportRecord(
-                "type",
-                params={"n": n},
-                results={
-                    "type": _type_key(g.counts),
-                    "idempotents": count,
-                    "stabilizer_order": stab,
-                    "summand": term,
-                },
-            ),
             args.json,
+            "type",
+            n=n,
+            type=_type_key(g.counts),
+            idempotents=count,
+            stabilizer_order=stab,
+            summand=term,
         )
     quotient = exact_div(total, factorial(n))
-    elapsed = (time.perf_counter() - start) * 1000
     _emit(
-        ReportRecord(
-            "types",
-            params={"n": n},
-            results={"types": rows, "sum": total, "quotient": quotient},
-            method="formula",
-            elapsed_ms=elapsed,
-        ),
         args.json,
+        "types",
+        n=n,
+        types=rows,
+        sum=total,
+        quotient=quotient,
+        method="formula",
+        elapsed_ms=_ms_since(start),
     )
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cap = brute_force_cap()
-    if not 1 <= args.exhaustive <= cap:
-        raise ArgumentRangeError(
-            f"--exhaustive must lie in 1..{cap}, got {args.exhaustive}"
-        )
-    if args.formula < 1:
-        raise ArgumentRangeError(f"--formula must be positive, got {args.formula}")
     start = time.perf_counter()
     failures = []
     checks = 0
     for result in run_verification(args.exhaustive, args.formula):
         checks += 1
         _emit(
-            ReportRecord(
-                "check",
-                results={
-                    "name": result.name,
-                    "ok": result.ok,
-                    **({"detail": result.detail} if result.detail else {}),
-                },
-            ),
             args.json,
+            "check",
+            name=result.name,
+            ok=result.ok,
+            detail=result.detail or None,
         )
         if not result.ok:
-            failures.append(result)
-    elapsed = (time.perf_counter() - start) * 1000
+            failures.append(result.name)
     _emit(
-        ReportRecord(
-            "verify",
-            params={"exhaustive": args.exhaustive, "formula": args.formula},
-            results={
-                "checks": checks,
-                "failures": len(failures),
-                **(
-                    {"first_failure": failures[0].name}
-                    if failures
-                    else {}
-                ),
-            },
-            elapsed_ms=elapsed,
-        ),
         args.json,
+        "verify",
+        exhaustive=args.exhaustive,
+        formula=args.formula,
+        checks=checks,
+        failures=len(failures),
+        first_failure=failures[0] if failures else None,
+        elapsed_ms=_ms_since(start),
     )
     return 1 if failures else 0
 
@@ -360,16 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    problem = _limit_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except RemainderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ArgumentRangeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def run() -> None:

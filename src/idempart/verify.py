@@ -20,7 +20,6 @@ from .combinatorics import (
     p_pentagonal,
 )
 from .formula import (
-    _type_sum,
     _type_sum_by_size,
     count_idempotents_of_type,
     cumulative_identity,
@@ -271,13 +270,21 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
 def _check_formula_level(n: int) -> Iterator[CheckResult]:
     pn = p_pentagonal(n)
     nfact = factorial(n)
-    total = _type_sum(n)
+    # one pass over the terms: each summand is |Stab f| * |orbit of f| for
+    # an idempotent f of its type, which orbit-stabilizer makes exactly n!
+    total = 0
+    off_terms = 0
+    for g in enumerate_type_vectors(n):
+        term = summand(n, g)
+        total += term
+        off_terms += term != nfact
     by_size = _type_sum_by_size(n)
-    ok = total == by_size and total % nfact == 0 and total // nfact == pn
+    ok = off_terms == 0 and total == by_size and total == nfact * pn
     yield _result(
         f"formula-pn n={n}",
         ok,
-        f"term sum {total}, size-by-size sum {by_size}, n! * p(n) = {nfact * pn}",
+        f"term sum {total}, size-by-size sum {by_size}, n! * p(n) = {nfact * pn}, "
+        f"{off_terms} summands != n!",
     )
     if n <= 25:
         count = sum(1 for _ in enumerate_partitions(n))

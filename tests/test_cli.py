@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 
-from idempart import formula
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idempart import cli, formula
 from idempart.cli import main
 from idempart.symmetric import BRUTE_CAP_ENV
+from idempart.verify import CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +77,10 @@ def test_pn_out_of_range_exits_2(capsys):
     assert main(["pn", "201", "--method", "pentagonal"]) == 2
     capsys.readouterr()
     assert main(["types", "61"]) == 2
+    capsys.readouterr()
+    assert main(["idempotents", "0"]) == 2
+    capsys.readouterr()
+    assert main(["idempotents", "61"]) == 2
     capsys.readouterr()
 
 
@@ -203,6 +215,8 @@ def test_verify_guard_exits_2(capsys):
     capsys.readouterr()
     assert main(["verify", "--exhaustive", "2", "--formula", "0"]) == 2
     capsys.readouterr()
+    assert main(["verify", "--exhaustive", "1", "--formula", "61"]) == 2
+    capsys.readouterr()
 
 
 def test_brute_cap_env_raises_cli_limits(capsys, monkeypatch):
@@ -213,6 +227,95 @@ def test_brute_cap_env_raises_cli_limits(capsys, monkeypatch):
     code, out = run_cli(capsys, "pn", "4", "--method", "burnside", "--json")
     assert code == 0
     assert json_records(out)[0]["p"] == "5"
+    # the cap is read only by the rows that use it
+    monkeypatch.setenv(BRUTE_CAP_ENV, "banana")
+    code, out = run_cli(capsys, "pn", "10", "--json")
+    assert code == 0
+    assert json_records(out)[0]["p"] == "42"
+    assert main(["orbits", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert BRUTE_CAP_ENV in captured.err
+
+
+def _must_not_run(args):
+    raise AssertionError(f"{args.command} ran with out-of-range arguments")
+
+
+def _outside(low, high):
+    return st.one_of(
+        st.integers(min_value=-(10**12), max_value=low - 1),
+        st.integers(min_value=high + 1, max_value=10**12),
+    )
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_every_limits_row_rejects_values_outside_it(data):
+    row = data.draw(st.sampled_from(sorted(cli._LIMITS)))
+    option = data.draw(st.sampled_from(sorted(cli._LIMITS[row])))
+    low, high = cli._LIMITS[row][option]
+    if callable(high):
+        high = high()
+    value = data.draw(_outside(low, high))
+    argv = row.split() + ([str(value)] if option == "n" else [option, str(value)])
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(BRUTE_CAP_ENV, raising=False)
+        for name in ("pn", "idempotents", "orbits", "types", "verify"):
+            mp.setattr(cli, f"cmd_{name}", _must_not_run)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    (line,) = err.getvalue().splitlines()
+    assert line.startswith("error: ")
+
+
+def test_internal_value_error_is_not_reported_as_bad_arguments(monkeypatch):
+    def broken(n):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "p_pentagonal", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["pn", "5", "--method", "pentagonal"])
+
+
+def plain_lines(capsys, *argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    return re.sub(r"elapsed_ms=\S+", "elapsed_ms=*", out).splitlines()
+
+
+def test_plain_output_format(capsys):
+    assert plain_lines(capsys, "pn", "10") == [
+        "pn  n=10  p=42  method=formula  elapsed_ms=*",
+    ]
+    assert plain_lines(capsys, "idempotents", "2", "--list") == [
+        "idempotent  n=2  values=['1', '1']  type=(0,1)",
+        "idempotent  n=2  values=['1', '2']  type=(2,0)",
+        "idempotent  n=2  values=['2', '2']  type=(0,1)",
+        "idempotents  n=2  count=3  method=constructive  elapsed_ms=*",
+    ]
+    assert plain_lines(capsys, "types", "3") == [
+        "type  n=3  type=(0,0,1)  idempotents=3  stabilizer_order=2  summand=6",
+        "type  n=3  type=(1,1,0)  idempotents=6  stabilizer_order=1  summand=6",
+        "type  n=3  type=(3,0,0)  idempotents=1  stabilizer_order=6  summand=6",
+        "types  n=3  types=3  sum=18  quotient=3  method=formula  elapsed_ms=*",
+    ]
+
+
+def test_verify_failure_is_reported_and_exits_1(capsys, monkeypatch):
+    failing = CheckResult("formula-pn n=1", False, "term sum 0")
+    monkeypatch.setattr(cli, "run_verification", lambda e, f: iter([failing]))
+    code, out = run_cli(capsys, "verify", "--exhaustive", "1", "--formula", "1")
+    assert code == 1
+    assert re.sub(r"elapsed_ms=\S+", "elapsed_ms=*", out).splitlines() == [
+        "check  name=formula-pn n=1  ok=False  detail=term sum 0",
+        "verify  exhaustive=1  formula=1  checks=1  failures=1"
+        "  first_failure=formula-pn n=1  elapsed_ms=*",
+    ]
 
 
 def test_machine_output_is_deterministic(capsys):

@@ -91,6 +91,20 @@ def test_size_by_size_sum_matches_term_sum():
         assert formula._type_sum_by_size(n) == formula._type_sum(n)
 
 
+def test_formula_check_requires_every_summand_to_be_factorial(monkeypatch):
+    from idempart import verify
+
+    # move one unit between the first two summands: every total is kept,
+    # so only the per-summand condition can notice
+    shift = iter([1, -1])
+    exact = verify.summand
+    monkeypatch.setattr(verify, "summand", lambda n, g: exact(n, g) + next(shift, 0))
+    first = next(verify._check_formula_level(3))
+    assert first.name == "formula-pn n=3"
+    assert not first.ok
+    assert "2 summands != n!" in first.detail
+
+
 def test_p_via_formula_rejects_zero():
     with pytest.raises(ValueError):
         p_via_formula(0)
