@@ -26,8 +26,7 @@ from .combinatorics import (
     factorial,
     p_pentagonal,
 )
-from .formula import count_idempotents_of_type, p_via_formula, total_idempotents
-from .stabilizer import stabilizer_order_formula
+from .formula import p_via_formula, total_idempotents, type_terms
 from .symmetric import (
     brute_force_cap,
     count_orbits_burnside,
@@ -221,9 +220,7 @@ def cmd_types(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     total = 0
     rows = 0
-    for g in enumerate_type_vectors(n):
-        count = count_idempotents_of_type(n, g)
-        stab = stabilizer_order_formula(g)
+    for g, count, stab in type_terms(n):
         term = stab * count
         total += term
         rows += 1
@@ -254,7 +251,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     failures = []
     checks = 0
+    # a check's time runs from the previous record to its own yield, so
+    # work shared by several checks is charged to the first that needs it
+    since = time.perf_counter()
     for result in run_verification(args.exhaustive, args.formula):
+        elapsed_ms = _ms_since(since)
         checks += 1
         _emit(
             args.json,
@@ -262,9 +263,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             name=result.name,
             ok=result.ok,
             detail=result.detail or None,
+            elapsed_ms=elapsed_ms,
         )
         if not result.ok:
             failures.append(result.name)
+        since = time.perf_counter()
     _emit(
         args.json,
         "verify",

@@ -9,6 +9,8 @@ that type multiply to one summand, and the summands total n! * p(n).
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .combinatorics import (
     TypeVector,
     binomial,
@@ -26,6 +28,7 @@ __all__ = [
     "summand",
     "summand_direct",
     "total_idempotents",
+    "type_terms",
 ]
 
 
@@ -55,6 +58,16 @@ def summand(n: int, g: TypeVector) -> int:
     return stabilizer_order_formula(g) * count_idempotents_of_type(n, g)
 
 
+def type_terms(n: int) -> Iterator[tuple[TypeVector, int, int]]:
+    """Each weight-n type vector g with its idempotent count and stabilizer order.
+
+    Their product is summand(n, g); the term-by-term sum, the `types`
+    listing and the `formula-pn` check of verify all walk this one loop.
+    """
+    for g in enumerate_type_vectors(n):
+        yield g, count_idempotents_of_type(n, g), stabilizer_order_formula(g)
+
+
 def summand_direct(n: int, g: TypeVector) -> int:
     """Literal transcription of the fused product form of the summand.
 
@@ -77,7 +90,7 @@ def summand_direct(n: int, g: TypeVector) -> int:
 
 def _type_sum(n: int) -> int:
     """Sum of summand(n, g) over all weight-n type vectors, term by term."""
-    return sum(summand(n, g) for g in enumerate_type_vectors(n))
+    return sum(count * stab for _, count, stab in type_terms(n))
 
 
 def _type_sum_by_size(n: int) -> int:
@@ -131,7 +144,5 @@ def cumulative_identity(m: int) -> tuple[int, int]:
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     lhs = sum(factorial(n) * p_pentagonal(n) for n in range(1, m + 1))
-    rhs = sum(
-        summand(n, g) for n in range(1, m + 1) for g in enumerate_type_vectors(n)
-    )
+    rhs = sum(_type_sum(n) for n in range(1, m + 1))
     return lhs, rhs

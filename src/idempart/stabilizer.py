@@ -97,6 +97,18 @@ class GUElement:
         return self.blocks[self.fiber_class.members.index(u)]
 
 
+def _element(
+    cls: FiberClass, blocks: tuple[Permutation, ...], outer: Permutation
+) -> GUElement:
+    # GUElement without __post_init__'s shape checks, for products and
+    # inverses: those have |U| blocks on k-1 points by construction
+    z = object.__new__(GUElement)
+    object.__setattr__(z, "fiber_class", cls)
+    object.__setattr__(z, "blocks", blocks)
+    object.__setattr__(z, "outer", outer)
+    return z
+
+
 def gu_order(cls: FiberClass) -> int:
     """Group order ((k-1)!)^|U| * |U|!."""
     k = cls.fiber_size
@@ -118,21 +130,22 @@ def gu_multiply(z1: GUElement, z2: GUElement) -> GUElement:
     outer2(i) composed after z2's block at i; the outer parts compose
     directly.
     """
-    if z1.fiber_class != z2.fiber_class:
+    cls = z1.fiber_class
+    if cls is not z2.fiber_class and cls != z2.fiber_class:
         raise ValueError("elements belong to different classes")
-    outer2 = z2.outer.forward
+    blocks1 = z1.blocks
     blocks = tuple(
-        z1.blocks[outer2[i] - 1] * b2 for i, b2 in enumerate(z2.blocks)
+        [blocks1[j - 1] * b2 for j, b2 in zip(z2.outer.forward, z2.blocks)]
     )
-    return GUElement(z1.fiber_class, blocks, z1.outer * z2.outer)
+    return _element(cls, blocks, z1.outer * z2.outer)
 
 
 def gu_inverse(z: GUElement) -> GUElement:
     """Inverse: invert the outer part, pull back and invert each block."""
     outer_inv = z.outer.inverse()
-    fwd = outer_inv.forward
-    blocks = tuple(z.blocks[fwd[i] - 1].inverse() for i in range(len(z.blocks)))
-    return GUElement(z.fiber_class, blocks, outer_inv)
+    blocks = z.blocks
+    inverted = tuple([blocks[j - 1].inverse() for j in outer_inv.forward])
+    return _element(z.fiber_class, inverted, outer_inv)
 
 
 def gu_enumerate(cls: FiberClass) -> Iterator[GUElement]:

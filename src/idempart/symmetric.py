@@ -109,8 +109,15 @@ class Permutation:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
+        # a composition of two bijections is one, so neither table is
+        # checked again; the backward one uses (p * q)^-1 = q^-1 * p^-1
         fwd = self.forward
-        return Permutation(fwd[v - 1] for v in other.forward)
+        bwd = other.backward
+        product = object.__new__(Permutation)
+        product.n = self.n
+        product.forward = tuple([fwd[v - 1] for v in other.forward])
+        product.backward = tuple([bwd[v - 1] for v in self.backward])
+        return product
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.forward == other.forward
@@ -135,8 +142,7 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
 def _conjugated(values: tuple[int, ...], sigma: Permutation) -> tuple[int, ...]:
     # value tuple of sigma . f . sigma^-1 without building map objects
     fwd = sigma.forward
-    bwd = sigma.backward
-    return tuple(fwd[values[bwd[i] - 1] - 1] for i in range(len(values)))
+    return tuple([fwd[values[b - 1] - 1] for b in sigma.backward])
 
 
 def conjugate_map(f: FiniteMap, sigma: Permutation) -> FiniteMap:

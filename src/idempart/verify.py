@@ -26,9 +26,11 @@ from .formula import (
     summand,
     summand_direct,
     total_idempotents,
+    type_terms,
 )
 from .representations import conjugate_rep, rep_from_idempotent
 from .stabilizer import (
+    GUElement,
     eta_classes,
     gamma_hom,
     gu_enumerate,
@@ -103,6 +105,23 @@ def _block_idempotent(k: int, m: int) -> Idempotent:
     return Idempotent(values)
 
 
+def _induced_permutation(z: GUElement) -> tuple[int, ...]:
+    """Forward table of the permutation z induces on _block_idempotent(k, |U|).
+
+    Member i owns the points i*k+1 (its root) .. i*k+k, and (member i,
+    position j) goes to (outer(i), blocks[i](j)), with the root as
+    position 0 and fixed by every block.  The roots make the action
+    faithful also for k = 1, where every block is empty.
+    """
+    k = z.fiber_class.fiber_size
+    image = []
+    for target, block in zip(z.outer.forward, z.blocks):
+        root = (target - 1) * k + 1
+        image.append(root)
+        image.extend([root + v for v in block.forward])
+    return tuple(image)
+
+
 def _gu_shapes(max_order: int) -> list[tuple[int, int]]:
     shapes = []
     for k in range(1, 9):
@@ -112,49 +131,42 @@ def _gu_shapes(max_order: int) -> list[tuple[int, int]]:
     return shapes
 
 
-def _check_gu_axioms(rng: random.Random) -> Iterator[CheckResult]:
-    for k, m in _gu_shapes(GU_CHECK_MAX_ORDER):
-        cls = eta_classes(_block_idempotent(k, m))[0]
-        elems = list(gu_enumerate(cls))
-        order = gu_order(cls)
-        name = f"gu-axioms k={k} |U|={m}"
-        if len(elems) != order:
-            yield CheckResult(name, False, f"enumerated {len(elems)} != {order}")
-            continue
-        ident = gu_identity(cls)
-        ok = all(
-            gu_multiply(ident, z) == z
-            and gu_multiply(z, ident) == z
-            and gu_multiply(z, gu_inverse(z)) == ident
-            and gu_multiply(gu_inverse(z), z) == ident
-            for z in elems
+def _check_gu_shape(k: int, m: int, rng: random.Random) -> CheckResult:
+    """Group axioms of the class group of m fibers of size k."""
+    cls = eta_classes(_block_idempotent(k, m))[0]
+    elems = list(gu_enumerate(cls))
+    order = gu_order(cls)
+    name = f"gu-axioms k={k} |U|={m}"
+    if len(elems) != order:
+        return CheckResult(name, False, f"enumerated {len(elems)} != {order}")
+    ident = gu_identity(cls)
+    ok = all(
+        gu_multiply(ident, z) == z
+        and gu_multiply(z, ident) == z
+        and gu_multiply(z, inv) == ident
+        and gu_multiply(inv, z) == ident
+        for z, inv in zip(elems, map(gu_inverse, elems))
+    )
+    if not ok:
+        return CheckResult(name, False, "identity/inverse law failed")
+    if order <= GU_EXHAUSTIVE_ORDER:
+        # rho injective and multiplicative on all pairs gives
+        # rho((ab)c) = rho(a)rho(b)rho(c) = rho(a(bc)), so (ab)c = a(bc)
+        rho = [Permutation(_induced_permutation(z)) for z in elems]
+        ok = len({r.forward for r in rho}) == order and all(
+            _induced_permutation(gu_multiply(a, b)) == (ra * rb).forward
+            for a, ra in zip(elems, rho)
+            for b, rb in zip(elems, rho)
         )
-        if not ok:
-            yield CheckResult(name, False, "identity/inverse law failed")
-            continue
-        if order <= GU_EXHAUSTIVE_ORDER:
-            # all triples via the Cayley table: (ab)c row must equal a(bc) row
-            index = {z: i for i, z in enumerate(elems)}
-            table = [[index[gu_multiply(a, b)] for b in elems] for a in elems]
-            ok = True
-            for a in range(order):
-                row_a = table[a]
-                for b in range(order):
-                    if table[row_a[b]] != [row_a[x] for x in table[b]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            yield _result(name, ok, "associativity failed (exhaustive)")
-        else:
-            ok = all(
-                gu_multiply(gu_multiply(a, b), c) == gu_multiply(a, gu_multiply(b, c))
-                for a, b, c in (
-                    (rng.choice(elems), rng.choice(elems), rng.choice(elems))
-                    for _ in range(GU_RANDOM_TRIPLES)
-                )
-            )
-            yield _result(name, ok, "associativity failed (random triples)")
+        return _result(name, ok, "associativity failed (exhaustive)")
+    ok = all(
+        gu_multiply(gu_multiply(a, b), c) == gu_multiply(a, gu_multiply(b, c))
+        for a, b, c in (
+            (rng.choice(elems), rng.choice(elems), rng.choice(elems))
+            for _ in range(GU_RANDOM_TRIPLES)
+        )
+    )
+    return _result(name, ok, "associativity failed (random triples)")
 
 
 def _gu_order_product(f: Idempotent) -> int:
@@ -274,8 +286,8 @@ def _check_formula_level(n: int) -> Iterator[CheckResult]:
     # an idempotent f of its type, which orbit-stabilizer makes exactly n!
     total = 0
     off_terms = 0
-    for g in enumerate_type_vectors(n):
-        term = summand(n, g)
+    for _, count, stab in type_terms(n):
+        term = count * stab
         total += term
         off_terms += term != nfact
     by_size = _type_sum_by_size(n)
@@ -317,7 +329,8 @@ def run_verification(nmax_exhaustive: int, nmax_formula: int) -> Iterator[CheckR
     rng = random.Random(RNG_SEED)
     for n in range(1, nmax_exhaustive + 1):
         yield from _check_exhaustive_level(n)
-    yield from _check_gu_axioms(rng)
+    for k, m in _gu_shapes(GU_CHECK_MAX_ORDER):
+        yield _check_gu_shape(k, m, rng)
     for n in range(1, nmax_formula + 1):
         yield from _check_formula_level(n)
     m = min(nmax_formula, 12)

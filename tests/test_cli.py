@@ -4,14 +4,15 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idempart import cli, formula
+from idempart import cli, formula, stabilizer, verify
 from idempart.cli import main
-from idempart.symmetric import BRUTE_CAP_ENV
+from idempart.symmetric import BRUTE_CAP_ENV, PERMUTATION_ENUM_LIMIT
 from idempart.verify import CheckResult
 
 
@@ -202,6 +203,23 @@ def test_verify_small_passes(capsys):
     assert all(r["ok"] is True for r in records if r["command"] == "check")
 
 
+def test_every_check_record_carries_its_time(capsys, monkeypatch):
+    def two_checks(exhaustive, formula):
+        yield CheckResult("first", True)
+        time.sleep(0.02)
+        yield CheckResult("second", True)
+
+    monkeypatch.setattr(cli, "run_verification", two_checks)
+    code, out = run_cli(capsys, "verify", "--json")
+    assert code == 0
+    first, second, summary = json_records(out)
+    assert [first["name"], second["name"]] == ["first", "second"]
+    assert all(isinstance(r["elapsed_ms"], float) for r in (first, second))
+    assert 0 <= first["elapsed_ms"] < second["elapsed_ms"]
+    assert second["elapsed_ms"] >= 20
+    assert first["elapsed_ms"] + second["elapsed_ms"] <= summary["elapsed_ms"]
+
+
 def test_verify_moderate_passes(capsys):
     code, out = run_cli(
         capsys, "verify", "--exhaustive", "3", "--formula", "8", "--json"
@@ -273,6 +291,27 @@ def test_every_limits_row_rejects_values_outside_it(data):
     assert line.startswith("error: ")
 
 
+def test_limits_rows_stay_inside_the_library_guards(monkeypatch):
+    # these rows enumerate all n! permutations of [n]; every accepted
+    # IDEMPART_BRUTE_CAP must keep them inside enumerate_permutations' guard
+    brute_rows = {
+        "pn --method burnside": "n",
+        "orbits": "n",
+        "verify": "--exhaustive",
+    }
+    for raw in (None, *map(str, range(1, PERMUTATION_ENUM_LIMIT + 1))):
+        if raw is None:
+            monkeypatch.delenv(BRUTE_CAP_ENV, raising=False)
+        else:
+            monkeypatch.setenv(BRUTE_CAP_ENV, raw)
+        for row, option in brute_rows.items():
+            high = cli._LIMITS[row][option][1]
+            high = high() if callable(high) else high
+            assert high <= PERMUTATION_ENUM_LIMIT, (raw, row)
+    # every class group the gu-axioms check enumerates is inside gu_enumerate's guard
+    assert verify.GU_CHECK_MAX_ORDER <= stabilizer.GU_ENUM_LIMIT
+
+
 def test_internal_value_error_is_not_reported_as_bad_arguments(monkeypatch):
     def broken(n):
         raise ValueError("internal fault")
@@ -312,7 +351,7 @@ def test_verify_failure_is_reported_and_exits_1(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "--exhaustive", "1", "--formula", "1")
     assert code == 1
     assert re.sub(r"elapsed_ms=\S+", "elapsed_ms=*", out).splitlines() == [
-        "check  name=formula-pn n=1  ok=False  detail=term sum 0",
+        "check  name=formula-pn n=1  ok=False  detail=term sum 0  elapsed_ms=*",
         "verify  exhaustive=1  formula=1  checks=1  failures=1"
         "  first_failure=formula-pn n=1  elapsed_ms=*",
     ]

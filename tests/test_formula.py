@@ -97,8 +97,14 @@ def test_formula_check_requires_every_summand_to_be_factorial(monkeypatch):
     # move one unit between the first two summands: every total is kept,
     # so only the per-summand condition can notice
     shift = iter([1, -1])
-    exact = verify.summand
-    monkeypatch.setattr(verify, "summand", lambda n, g: exact(n, g) + next(shift, 0))
+    exact = verify.type_terms
+
+    def shifted(n):
+        # (summand + d, 1) in place of (count, stabilizer order)
+        for g, count, stab in exact(n):
+            yield g, count * stab + next(shift, 0), 1
+
+    monkeypatch.setattr(verify, "type_terms", shifted)
     first = next(verify._check_formula_level(3))
     assert first.name == "formula-pn n=3"
     assert not first.ok

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from idempart import (
     Idempotent,
@@ -37,6 +39,30 @@ def test_permutation_composition_applies_right_first():
     assert (p * p.inverse()) == Permutation.identity(3)
     with pytest.raises(ValueError):
         p * Permutation((1, 2))
+
+
+def _permutations_of_one_size(count):
+    """count random permutations of one common size 0..8."""
+    return st.integers(min_value=0, max_value=8).flatmap(
+        lambda n: st.lists(
+            st.permutations(range(1, n + 1)).map(Permutation),
+            min_size=count,
+            max_size=count,
+        )
+    )
+
+
+@given(_permutations_of_one_size(3))
+def test_unchecked_product_is_a_valid_permutation(perms):
+    p, q, r = perms
+    pq = p * q
+    # the validating constructor accepts the forward table and derives
+    # the same backward table
+    checked = Permutation(pq.forward)
+    assert (pq.n, pq.backward) == (checked.n, checked.backward)
+    assert pq.forward == tuple(p(q(x)) for x in range(1, p.n + 1))
+    assert (pq * r).forward == (p * (q * r)).forward
+    assert (pq * r).backward == (p * (q * r)).backward
 
 
 def test_enumerate_permutations_counts():
