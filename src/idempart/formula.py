@@ -101,17 +101,25 @@ def _type_sum_by_size(n: int) -> int:
     over sizes like Euler's product prod 1/(1 - x^k).  After the pass for
     size k, s[r] sums the factors of sizes k..n over every choice of
     g(k), ..., g(n) that uses up exactly r free points.
+
+    The pass for size k walks q = r - k*g, the points left to larger
+    sizes, and then g.  With q fixed the nested product reads
+    prod_{w=1..g} C(q + (k-1)*w, k-1), so each step g -> g+1 multiplies
+    it, (k-1)!^g and g! by one factor apiece; C(r, g) is taken afresh.
     """
     s = [1] + [0] * n
     for k in range(n, 0, -1):
         fiber_perms = factorial(k - 1)
         nxt = [0] * (n + 1)
-        for r in range(n + 1):
-            for g in range(r // k + 1):
-                term = fiber_perms**g * factorial(g) * binomial(r, g)
-                for v in range(1, g + 1):
-                    term *= binomial(r - g - (v - 1) * (k - 1), k - 1)
-                nxt[r] += term * s[r - k * g]
+        for q in range(n + 1):
+            carried = s[q]  # (k-1)!^g * g! * nested product * s[q]
+            if not carried:
+                continue
+            for g in range((n - q) // k + 1):
+                if g:
+                    carried *= fiber_perms * g * binomial(q + (k - 1) * g, k - 1)
+                r = q + k * g
+                nxt[r] += carried * binomial(r, g)
         s = nxt
     return s[n]
 

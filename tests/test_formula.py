@@ -4,6 +4,7 @@ import pytest
 
 from idempart import (
     TypeVector,
+    binomial,
     count_idempotents_of_type,
     cumulative_identity,
     enumerate_idempotents,
@@ -18,6 +19,7 @@ from idempart import (
     total_idempotents,
     type_vector_of,
 )
+from idempart.cli import PN_CAP
 
 
 def test_count_examples_n3():
@@ -89,6 +91,38 @@ def test_sum_is_divisible_by_factorial():
 def test_size_by_size_sum_matches_term_sum():
     for n in range(1, 31):
         assert formula._type_sum_by_size(n) == formula._type_sum(n)
+
+
+def _type_sum_by_size_rebuilt(n):
+    # the DP with free points r outermost, rebuilding every factor of
+    # every (k, r, g) term from scratch
+    s = [1] + [0] * n
+    for k in range(n, 0, -1):
+        nxt = [0] * (n + 1)
+        for r in range(n + 1):
+            for g in range(r // k + 1):
+                term = factorial(k - 1) ** g * factorial(g) * binomial(r, g)
+                for v in range(1, g + 1):
+                    term *= binomial(r - g - (v - 1) * (k - 1), k - 1)
+                nxt[r] += term * s[r - k * g]
+        s = nxt
+    return s[n]
+
+
+def test_size_by_size_sum_matches_rebuilt_factors():
+    for n in range(1, 61):
+        assert formula._type_sum_by_size(n) == _type_sum_by_size_rebuilt(n)
+
+
+def test_size_by_size_sum_is_factorial_times_partition_number():
+    for n in [*range(121), 200]:
+        assert formula._type_sum_by_size(n) == factorial(n) * p_pentagonal(n)
+
+
+def test_p_via_formula_matches_sympy_partition():
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    for n in (1, 2, 7, 25, 50, 99, 123, 150, 177, PN_CAP):
+        assert p_via_formula(n) == numbers.partition(n)
 
 
 def test_formula_check_requires_every_summand_to_be_factorial(monkeypatch):
