@@ -10,15 +10,11 @@ brute-force oracles cross-checking every identity at small n.
 """
 
 from .combinatorics import (
-    Partition,
-    TypeVector,
     binomial,
     enumerate_partitions,
-    enumerate_type_vectors,
     exact_div,
     factorial,
     p_pentagonal,
-    partition_to_type_vector,
 )
 from .formula import (
     count_idempotents_of_type,

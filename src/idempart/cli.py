@@ -19,13 +19,7 @@ import sys
 import time
 from typing import Any
 
-from .combinatorics import (
-    RemainderError,
-    enumerate_type_vectors,
-    exact_div,
-    factorial,
-    p_pentagonal,
-)
+from .combinatorics import RemainderError, exact_div, factorial, p_pentagonal
 from .formula import p_via_formula, total_idempotents, type_terms
 from .symmetric import (
     brute_force_cap,
@@ -122,8 +116,12 @@ def _ms_since(start: float) -> float:
     return (time.perf_counter() - start) * 1000
 
 
-def _type_key(counts: tuple[int, ...]) -> str:
-    return "(" + ",".join(str(c) for c in counts) + ")"
+def _type_key(n: int, g: tuple[tuple[int, int], ...]) -> str:
+    """The dense key (g(1),...,g(n)) of a sparse type vector."""
+    counts = [0] * n
+    for k, gk in g:
+        counts[k - 1] = gk
+    return "(" + ",".join(map(str, counts)) + ")"
 
 
 def cmd_pn(args: argparse.Namespace) -> int:
@@ -158,7 +156,7 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
                 "idempotent",
                 n=n,
                 values=list(f.values),
-                type=_type_key(type_vector_of(f).counts),
+                type=_type_key(n, type_vector_of(f)),
             )
         method = "constructive"
     elif n <= LISTING_CAP:
@@ -187,7 +185,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
         reps.setdefault(type_vector_of(f), f)
     rows = 0
     all_ok = True
-    for g in enumerate_type_vectors(n):
+    for g, _, _ in type_terms(n):
         rep = reps[g]
         size = len(orbit_of(rep))
         stab = len(stabilizer_bruteforce(rep))
@@ -198,7 +196,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
             args.json,
             "orbit",
             n=n,
-            type=_type_key(g.counts),
+            type=_type_key(n, g),
             orbit_size=size,
             stabilizer_order=stab,
             product_check=ok,
@@ -228,7 +226,7 @@ def cmd_types(args: argparse.Namespace) -> int:
             args.json,
             "type",
             n=n,
-            type=_type_key(g.counts),
+            type=_type_key(n, g),
             idempotents=count,
             stabilizer_order=stab,
             summand=term,

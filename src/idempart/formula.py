@@ -5,20 +5,16 @@ conjugation orbits, which is p(n).  Grouping the sum by fiber-size type
 turns it into an explicit product formula: for every weight-n type
 vector g, the stabilizer order factor and the number of idempotents of
 that type multiply to one summand, and the summands total n! * p(n).
+
+A type vector is a sparse tuple ((k, g(k)), ...) of the fiber sizes k
+with g(k) > 0, ascending in k; its weight is the sum of k * g(k).
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .combinatorics import (
-    TypeVector,
-    binomial,
-    enumerate_type_vectors,
-    exact_div,
-    factorial,
-    p_pentagonal,
-)
+from .combinatorics import binomial, exact_div, factorial, p_pentagonal
 from .stabilizer import stabilizer_order_formula
 
 __all__ = [
@@ -32,19 +28,19 @@ __all__ = [
 ]
 
 
-def count_idempotents_of_type(n: int, g: TypeVector) -> int:
+def count_idempotents_of_type(n: int, g: tuple[tuple[int, int], ...]) -> int:
     """Number of idempotents on [n] whose fiber-size type is g.
 
     Walking fiber sizes in ascending order, first choose the g(k) roots
     among the points not yet consumed, then fill each of their fibers
-    with k-1 further points.  Degenerate binomials zero-extend, so
-    malformed inputs count 0 instead of raising.
+    with k-1 further points.
     """
-    if g.weight != n:
-        raise ValueError(f"type vector has weight {g.weight}, expected {n}")
+    weight = sum(k * gk for k, gk in g)
+    if weight != n:
+        raise ValueError(f"type vector has weight {weight}, expected {n}")
     total = 1
     consumed = 0
-    for k, gk in g.nonzero():
+    for k, gk in g:
         remaining = n - consumed
         total *= binomial(remaining, gk)
         for v in range(1, gk + 1):
@@ -53,31 +49,71 @@ def count_idempotents_of_type(n: int, g: TypeVector) -> int:
     return total
 
 
-def summand(n: int, g: TypeVector) -> int:
+def summand(n: int, g: tuple[tuple[int, int], ...]) -> int:
     """One term of the n! * p(n) sum: stabilizer order times type count."""
     return stabilizer_order_formula(g) * count_idempotents_of_type(n, g)
 
 
-def type_terms(n: int) -> Iterator[tuple[TypeVector, int, int]]:
+def type_terms(n: int) -> Iterator[tuple[tuple[tuple[int, int], ...], int, int]]:
     """Each weight-n type vector g with its idempotent count and stabilizer order.
 
-    Their product is summand(n, g); the term-by-term sum, the `types`
-    listing and the `formula-pn` check of verify all walk this one loop.
+    Their product is summand(n, g).  One depth-first walk decides g(n),
+    g(n-1), ..., g(1) in turn, each from its largest value down to 0, so
+    the types come in the reverse-lexicographic order of their partitions.
+    When the walk picks g(k), the sizes above k have used q points, so the
+    ascending-order count factor of size k is C(r, g) * prod_{v=1..g}
+    C(r - g - (v-1)(k-1), k-1) with r = q + k*g, and its stabilizer factor
+    is (k-1)!^g * g!.  Each node multiplies both onto the partial count and
+    partial stabilizer order it carries, so every factor is taken once per
+    node instead of once per type.
     """
-    for g in enumerate_type_vectors(n):
-        yield g, count_idempotents_of_type(n, g), stabilizer_order_formula(g)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    # (size k to decide, points q used by larger sizes, count, stab, g so far)
+    stack: list[tuple[int, int, int, int, tuple[tuple[int, int], ...]]]
+    stack = [(n, 0, 1, 1, ())]
+    while stack:
+        k, q, count, stab, g = stack.pop()
+        if q == n:
+            yield g, count, stab
+            continue
+        if k == 1:
+            # every nested binomial is C(., 0) = 1 and (k-1)! = 1
+            rest = n - q
+            yield ((1, rest),) + g, count * binomial(n, rest), stab * factorial(rest)
+            continue
+        # With q fixed the nested product reads prod_{w=1..g} C(q + (k-1)w, k-1),
+        # so the step g -> g+1 multiplies it and (k-1)!^g * g! by one factor
+        # apiece.  Children are pushed for g ascending, so the largest pops first.
+        fiber_perms = factorial(k - 1)
+        nested = 1
+        stab_k = 1
+        for gk in range((n - q) // k + 1):
+            if gk:
+                nested *= binomial(q + (k - 1) * gk, k - 1)
+                stab_k *= fiber_perms * gk
+            r = q + k * gk
+            # sizes above n - r fit in no remaining point, so g is 0 there
+            stack.append((
+                min(k - 1, n - r),
+                r,
+                count * binomial(r, gk) * nested,
+                stab * stab_k,
+                ((k, gk),) + g if gk else g,
+            ))
 
 
-def summand_direct(n: int, g: TypeVector) -> int:
+def summand_direct(n: int, g: tuple[tuple[int, int], ...]) -> int:
     """Literal transcription of the fused product form of the summand.
 
     Kept deliberately separate from summand() and asserted equal in the
     tests, guarding against transcription slips in the nested product.
     """
+    counts = dict(g)
     total = 1
     for k in range(1, n + 1):
-        gk = g.g(k)
-        prefix = sum(s * g.g(s) for s in range(1, k))
+        gk = counts.get(k, 0)
+        prefix = sum(s * counts.get(s, 0) for s in range(1, k))
         total *= (
             factorial(k - 1) ** gk
             * factorial(gk)
@@ -139,7 +175,7 @@ def total_idempotents(n: int) -> int:
     """Number of idempotents on [n], summed over all weight-n types."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return sum(count_idempotents_of_type(n, g) for g in enumerate_type_vectors(n))
+    return sum(count for _, count, _ in type_terms(n))
 
 
 def cumulative_identity(m: int) -> tuple[int, int]:

@@ -7,7 +7,8 @@ fiber (the representative's fiber minus its root, all blocks expressed
 through fixed order-preserving bijections) twisted by a permutation of
 U itself.  Those pairs form a group of order ((k-1)!)^|U| * |U|!, and
 multiplying the orders over all classes recovers the stabilizer size,
-which depends only on the fiber-size type vector.
+which depends only on the fiber-size type vector, the sparse tuple
+((k, g(k)), ...) of sizes k with g(k) > 0, ascending in k.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .combinatorics import TypeVector, factorial
+from .combinatorics import factorial
 from .symmetric import Permutation, _conjugated, enumerate_permutations
 from .transformations import Idempotent
 
@@ -195,9 +196,12 @@ def gamma_hom(sigma: Permutation, f: Idempotent, cls: FiberClass) -> GUElement:
     return GUElement(cls, tuple(blocks), outer)
 
 
-def stabilizer_order_formula(g: TypeVector) -> int:
-    """Stabilizer size from the type vector: prod (k-1)!^g(k) * g(k)!."""
+def stabilizer_order_formula(g: tuple[tuple[int, int], ...]) -> int:
+    """Stabilizer size from the sparse type vector ((k, g(k)), ...).
+
+    The product is prod (k-1)!^g(k) * g(k)! over the sizes k in g.
+    """
     total = 1
-    for k, gk in g.nonzero():
+    for k, gk in g:
         total *= factorial(k - 1) ** gk * factorial(gk)
     return total

@@ -10,9 +10,8 @@ cross-check at small n.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterable, Iterator, Mapping
-
-from .combinatorics import TypeVector
 
 __all__ = [
     "FiniteMap",
@@ -191,10 +190,10 @@ def enumerate_idempotents(n: int) -> Iterator[Idempotent]:
             yield Idempotent(values)
 
 
-def type_vector_of(f: Idempotent) -> TypeVector:
-    """Fiber-size multiplicities of f: g(k) = #image points with |fiber| = k."""
-    n = f.n
-    counts = [0] * n
-    for x in f.image:
-        counts[len(f.fibers[x]) - 1] += 1
-    return TypeVector._unchecked(n, tuple(counts), n)
+def type_vector_of(f: Idempotent) -> tuple[tuple[int, int], ...]:
+    """Fiber-size type of f as the sparse tuple ((k, g(k)), ...), k ascending.
+
+    g(k) is the number of image points whose fiber has k points; sizes
+    with g(k) = 0 are left out.
+    """
+    return tuple(sorted(Counter(map(len, f.fibers.values())).items()))

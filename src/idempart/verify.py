@@ -13,12 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .combinatorics import (
-    enumerate_partitions,
-    enumerate_type_vectors,
-    factorial,
-    p_pentagonal,
-)
+from .combinatorics import enumerate_partitions, factorial, p_pentagonal
 from .formula import (
     _type_sum_by_size,
     count_idempotents_of_type,
@@ -218,10 +213,12 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
     )
     yield _result(f"orbit-stabilizer-product n={n}", ok, "orbit * stab != n!")
 
+    # the walk's carried count and the per-type product must both match
+    # the tally; equal totals then leave no tallied type outside the walk
     tally = Counter(type_vector_of(f) for f in idems)
     ok = all(
-        tally.get(g, 0) == count_idempotents_of_type(n, g)
-        for g in enumerate_type_vectors(n)
+        tally.get(g, 0) == count == count_idempotents_of_type(n, g)
+        for g, count, _ in type_terms(n)
     ) and sum(tally.values()) == total_idempotents(n)
     yield _result(f"type-count n={n}", ok, "per-type count != tally")
 
@@ -307,7 +304,8 @@ def _check_formula_level(n: int) -> Iterator[CheckResult]:
         )
     if n <= 12:
         ok = all(
-            summand(n, g) == summand_direct(n, g) for g in enumerate_type_vectors(n)
+            count * stab == summand(n, g) == summand_direct(n, g)
+            for g, count, stab in type_terms(n)
         )
         yield _result(f"summand-decomposition n={n}", ok, "factored != literal")
 

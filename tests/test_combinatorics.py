@@ -1,16 +1,19 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idempart import (
-    Partition,
-    TypeVector,
+    Idempotent,
     binomial,
     enumerate_partitions,
-    enumerate_type_vectors,
     exact_div,
     factorial,
     p_pentagonal,
-    partition_to_type_vector,
+    type_vector_of,
 )
+from idempart.formula import type_terms
 
 # ---------------------------------------------------------------- oracles
 
@@ -49,6 +52,11 @@ def partitions_ascending_dfs(n):
 
     rec(n, 1, [])
     return out
+
+
+def multiplicities(parts):
+    """Sparse type vector of a part tuple: ((k, #parts equal to k), ...)."""
+    return tuple(sorted(Counter(parts).items()))
 
 
 def partition_count_dp(n):
@@ -123,28 +131,19 @@ def test_exact_div():
 # ------------------------------------------------------------ partitions
 
 
-def test_partition_validation():
-    assert Partition([3, 1, 1]).parts == (3, 1, 1)
-    assert Partition([]).n == 0
-    with pytest.raises(ValueError):
-        Partition([1, 2])
-    with pytest.raises(ValueError):
-        Partition([3, 0])
-
-
 def test_enumerate_partitions_trivial():
-    assert [p.parts for p in enumerate_partitions(0)] == [()]
-    assert [p.parts for p in enumerate_partitions(1)] == [(1,)]
+    assert list(enumerate_partitions(0)) == [()]
+    assert list(enumerate_partitions(1)) == [(1,)]
 
 
 def test_enumerate_partitions_of_four():
-    got = [p.parts for p in enumerate_partitions(4)]
+    got = list(enumerate_partitions(4))
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
 def test_enumerate_partitions_matches_dfs_oracle():
     for n in range(11):
-        got = [p.parts for p in enumerate_partitions(n)]
+        got = list(enumerate_partitions(n))
         expected = {tuple(reversed(t)) for t in partitions_ascending_dfs(n)}
         assert set(got) == expected
         assert len(got) == len(expected) == partition_count_dp(n)
@@ -152,7 +151,7 @@ def test_enumerate_partitions_matches_dfs_oracle():
 
 def test_enumerate_partitions_reverse_lex_order():
     for n in range(1, 13):
-        got = [p.parts for p in enumerate_partitions(n)]
+        got = list(enumerate_partitions(n))
         assert got == sorted(got, reverse=True)
 
 
@@ -163,44 +162,53 @@ def test_partition_count_n10():
 # ---------------------------------------------------------- type vectors
 
 
-def test_type_vector_validation():
-    tv = TypeVector(3, (1, 1, 0))
-    assert tv.weight == 3
-    assert tv.g(1) == 1 and tv.g(2) == 1 and tv.g(3) == 0
-    with pytest.raises(ValueError):
-        TypeVector(3, (1, 1))
-    with pytest.raises(ValueError):
-        TypeVector(3, (4, 0, 0))
-    with pytest.raises(ValueError):
-        tv.g(4)
-
-
-def test_partition_to_type_vector_examples():
-    assert partition_to_type_vector(Partition([2, 1])).counts == (1, 1, 0)
-    assert partition_to_type_vector(Partition([1, 1, 1])).counts == (3, 0, 0)
-    assert partition_to_type_vector(Partition([3])).counts == (0, 0, 1)
-    with pytest.raises(ValueError):
-        partition_to_type_vector(Partition([]))
-
-
 def test_enumerate_type_vectors_small():
-    assert [tv.counts for tv in enumerate_type_vectors(1)] == [(1,)]
-    assert {tv.counts for tv in enumerate_type_vectors(2)} == {(2, 0), (0, 1)}
-    assert sum(1 for _ in enumerate_type_vectors(4)) == 5
+    assert [g for g, _, _ in type_terms(1)] == [((1, 1),)]
+    assert {g for g, _, _ in type_terms(2)} == {((1, 2),), ((2, 1),)}
+    assert sum(1 for _ in type_terms(4)) == 5
 
 
 def test_enumerate_type_vectors_bijective_image():
-    for n in range(1, 26):
+    assert multiplicities((2, 1)) == ((1, 1), (2, 1))
+    assert multiplicities((1, 1, 1)) == ((1, 3),)
+    for n in range(1, 31):
         parts = list(enumerate_partitions(n))
-        tvs = list(enumerate_type_vectors(n))
+        tvs = [g for g, _, _ in type_terms(n)]
         assert len(tvs) == len(parts) == len(set(tvs))
-        assert all(tv.weight == n for tv in tvs)
-        assert tvs == [partition_to_type_vector(p) for p in parts]
+        assert all(sum(k * gk for k, gk in g) == n for g in tvs)
+        assert all(gk > 0 for g in tvs for _, gk in g)
+        assert all([k for k, _ in g] == sorted({k for k, _ in g}) for g in tvs)
+        # the walk yields the types in the partitions' reverse-lex order
+        assert tvs == [multiplicities(p) for p in parts]
 
 
 def test_enumerate_type_vectors_rejects_zero():
     with pytest.raises(ValueError):
-        list(enumerate_type_vectors(0))
+        list(type_terms(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_type_vector_round_trips_through_parts_and_idempotents(data):
+    n = data.draw(st.integers(1, 25))
+    partitions = list(enumerate_partitions(n))
+    i = data.draw(st.integers(0, len(partitions) - 1))
+    g = [g for g, _, _ in type_terms(n)][i]
+    parts = tuple(k for k, gk in reversed(g) for _ in range(gk))
+    assert parts == partitions[i]
+    # an idempotent whose fibers are the parts, on shuffled points
+    points = data.draw(st.permutations(range(1, n + 1)))
+    values = [0] * n
+    start = 0
+    for part in parts:
+        fiber = points[start:start + part]
+        root = data.draw(st.sampled_from(fiber))
+        for x in fiber:
+            values[x - 1] = root
+        start += part
+    f = Idempotent(values)
+    assert sorted(len(fiber) for fiber in f.fibers.values()) == sorted(parts)
+    assert type_vector_of(f) == g
 
 
 # ------------------------------------------------------------ pentagonal

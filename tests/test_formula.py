@@ -3,13 +3,11 @@ from collections import Counter
 import pytest
 
 from idempart import (
-    TypeVector,
     binomial,
     count_idempotents_of_type,
     cumulative_identity,
     enumerate_idempotents,
     enumerate_idempotents_bruteforce,
-    enumerate_type_vectors,
     factorial,
     formula,
     p_pentagonal,
@@ -20,29 +18,31 @@ from idempart import (
     type_vector_of,
 )
 from idempart.cli import PN_CAP
+from idempart.formula import type_terms
+from idempart.stabilizer import stabilizer_order_formula
 
 
 def test_count_examples_n3():
-    assert count_idempotents_of_type(3, TypeVector(3, (3, 0, 0))) == 1
-    assert count_idempotents_of_type(3, TypeVector(3, (1, 1, 0))) == 6
-    assert count_idempotents_of_type(3, TypeVector(3, (0, 0, 1))) == 3
+    assert count_idempotents_of_type(3, ((1, 3),)) == 1
+    assert count_idempotents_of_type(3, ((1, 1), (2, 1))) == 6
+    assert count_idempotents_of_type(3, ((3, 1),)) == 3
 
 
 def test_count_rejects_weight_mismatch():
     with pytest.raises(ValueError):
-        count_idempotents_of_type(4, TypeVector(3, (1, 1, 0)))
+        count_idempotents_of_type(4, ((1, 1), (2, 1)))
 
 
 def test_count_matches_bruteforce_tally():
     for n in range(1, 6):
         tally = Counter(type_vector_of(f) for f in enumerate_idempotents_bruteforce(n))
-        for g in enumerate_type_vectors(n):
+        for g, _, _ in type_terms(n):
             assert count_idempotents_of_type(n, g) == tally[g]
 
 
 def test_count_matches_constructive_tally_n6():
     tally = Counter(type_vector_of(f) for f in enumerate_idempotents(6))
-    for g in enumerate_type_vectors(6):
+    for g, _, _ in type_terms(6):
         assert count_idempotents_of_type(6, g) == tally[g]
     assert sum(tally.values()) == 1057
 
@@ -56,24 +56,36 @@ def test_total_idempotents():
 
 
 def test_total_idempotents_image_size_oracle():
-    # independent closed form: choose a k-point image, retract the rest
+    # independent closed form (Harris-Schoenfeld 1967, OEIS A000248):
+    # choose a k-point image, retract the rest; it checks the walk's
+    # carried counts far beyond the exhaustive range
     from math import comb
 
-    for n in range(1, 20):
+    for n in [*range(1, 41), 50, 60]:
         expected = sum(comb(n, k) * k ** (n - k) for k in range(1, n + 1))
         assert total_idempotents(n) == expected
 
 
+def test_type_terms_carry_the_per_type_references():
+    # the walk's carried factors against the count and order rebuilt per type
+    for n in range(1, 31):
+        for g, count, stab in type_terms(n):
+            assert (count, stab) == (
+                count_idempotents_of_type(n, g),
+                stabilizer_order_formula(g),
+            ), (n, g)
+
+
 def test_summand_equals_literal_transcription():
     for n in range(1, 13):
-        for g in enumerate_type_vectors(n):
+        for g, _, _ in type_terms(n):
             assert summand(n, g) == summand_direct(n, g)
 
 
 def test_p_via_formula_small():
     assert p_via_formula(1) == 1
     assert p_via_formula(3) == 3
-    assert sum(summand(3, g) for g in enumerate_type_vectors(3)) == 18
+    assert sum(summand(3, g) for g, _, _ in type_terms(3)) == 18
     assert p_via_formula(10) == 42
 
 
@@ -84,7 +96,7 @@ def test_p_via_formula_matches_pentagonal():
 
 def test_sum_is_divisible_by_factorial():
     for n in (1, 5, 17, 33, 42):
-        total = sum(summand(n, g) for g in enumerate_type_vectors(n))
+        total = sum(summand(n, g) for g, _, _ in type_terms(n))
         assert total % factorial(n) == 0
 
 

@@ -19,7 +19,6 @@ from idempart import (
     stabilizer_order_formula,
     type_vector_of,
 )
-from idempart.combinatorics import TypeVector
 from idempart.symmetric import _conjugated
 
 
@@ -64,7 +63,7 @@ def test_eta_class_sizes_match_type_vector(idems_by_n):
             g = type_vector_of(f)
             by_size = {c.fiber_size: len(c.members) for c in eta_classes(f)}
             for k in range(1, n + 1):
-                assert by_size.get(k, 0) == g.g(k)
+                assert by_size.get(k, 0) == dict(g).get(k, 0)
             sizes = [c.fiber_size for c in eta_classes(f)]
             assert sizes == sorted(sizes)
 
@@ -228,9 +227,9 @@ def test_gamma_is_homomorphism_small(idems_by_n, perms_by_n):
 
 
 def test_stabilizer_order_formula_examples():
-    assert stabilizer_order_formula(TypeVector(4, (4, 0, 0, 0))) == 24
-    assert stabilizer_order_formula(TypeVector(3, (0, 0, 1))) == 2
-    assert stabilizer_order_formula(TypeVector(3, (1, 1, 0))) == 1
+    assert stabilizer_order_formula(((1, 4),)) == 24
+    assert stabilizer_order_formula(((3, 1),)) == 2
+    assert stabilizer_order_formula(((1, 1), (2, 1))) == 1
 
 
 def test_stabilizer_order_matches_bruteforce(idems_by_n):

@@ -153,12 +153,12 @@ def test_all_enumerated_maps_are_idempotent():
 
 
 def test_type_vector_of_examples():
-    assert type_vector_of(Idempotent.identity(3)).counts == (3, 0, 0)
-    assert type_vector_of(Idempotent((1, 1, 1))).counts == (0, 0, 1)
-    assert type_vector_of(Idempotent((1, 2, 1))).counts == (1, 1, 0)
+    assert type_vector_of(Idempotent.identity(3)) == ((1, 3),)
+    assert type_vector_of(Idempotent((1, 1, 1))) == ((3, 1),)
+    assert type_vector_of(Idempotent((1, 2, 1))) == ((1, 1), (2, 1))
 
 
 def test_type_vector_weight_invariant():
     for n in range(1, 8):
         for f in enumerate_idempotents(n):
-            assert type_vector_of(f).weight == n
+            assert sum(k * gk for k, gk in type_vector_of(f)) == n
