@@ -47,7 +47,6 @@ from .stabilizer import (
 )
 from .symmetric import (
     Permutation,
-    brute_force_cap,
     conjugate_idempotent,
     conjugate_map,
     conjugator,

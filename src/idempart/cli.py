@@ -5,9 +5,9 @@ emits either a plain aligned table or, with --json, one self-describing
 JSON record per line in which all integers are exact decimal strings.
 Every integer argument is checked against one limits table before the
 command runs.  Exit codes: 0 success, 1 an identity failed, 2 an
-argument outside the table or a malformed IDEMPART_BRUTE_CAP.  Any other
-error inside a command is a bug and propagates as a traceback instead
-of being reported as a bad argument.
+argument outside the table.  Any other error inside a command is a bug
+and propagates as a traceback instead of being reported as a bad
+argument.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Any
 from .combinatorics import RemainderError, exact_div, factorial, p_pentagonal
 from .formula import p_via_formula, total_idempotents, type_terms
 from .symmetric import (
-    brute_force_cap,
+    PERMUTATION_ENUM_LIMIT,
     count_orbits_burnside,
     orbit_of,
     stabilizer_bruteforce,
@@ -39,24 +39,26 @@ DEFAULT_VERIFY_EXHAUSTIVE = 5
 DEFAULT_VERIFY_FORMULA = 50
 
 # Accepted range of every integer argument, one row per command variant.
-# An upper bound given as a function is read only when its row is checked,
-# so a malformed IDEMPART_BRUTE_CAP cannot fail a command that ignores it.
 # The p(n)-term enumerations (idempotents above the listing cap, types,
 # the formula levels of verify) share TYPES_CAP; the exhaustive routes
-# conjugate by all n! permutations and share the brute-force cap.
+# conjugate by all n! permutations and share that enumeration's guard.
 _LIMITS = {
     "pn --method formula": {"n": (1, PN_CAP)},
     "pn --method pentagonal": {"n": (0, PN_CAP)},
-    "pn --method burnside": {"n": (1, brute_force_cap)},
+    "pn --method burnside": {"n": (1, PERMUTATION_ENUM_LIMIT)},
     "idempotents": {"n": (1, TYPES_CAP)},
     "idempotents --list": {"n": (1, LISTING_CAP)},
-    "orbits": {"n": (1, brute_force_cap)},
+    "orbits": {"n": (1, PERMUTATION_ENUM_LIMIT)},
     "types": {"n": (1, TYPES_CAP)},
     "verify": {
-        "--exhaustive": (1, brute_force_cap),
+        "--exhaustive": (1, PERMUTATION_ENUM_LIMIT),
         "--formula": (1, TYPES_CAP),
     },
 }
+
+# one encoder for every --json record; json.dumps with these settings
+# would build a new one per call
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _row(args: argparse.Namespace) -> str:
@@ -71,13 +73,6 @@ def _limit_error(args: argparse.Namespace) -> str | None:
     """Why the arguments miss their row of _LIMITS, or None if they fit."""
     row = _row(args)
     for option, (low, high) in _LIMITS[row].items():
-        if callable(high):
-            # scoped to the environment read: a malformed IDEMPART_BRUTE_CAP
-            # is bad input, not a fault inside a command
-            try:
-                high = high()
-            except ValueError as exc:
-                return str(exc)
         value = getattr(args, option.lstrip("-"))
         if not low <= value <= high:
             return f"{row} accepts {low} <= {option} <= {high}, got {value}"
@@ -106,7 +101,7 @@ def _emit(as_json: bool, command: str, **fields: Any) -> None:
             continue
         record[key] = round(value, 3) if key == "elapsed_ms" else _stringify(value)
     if as_json:
-        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        print(_JSON.encode(record))
     else:
         parts = [f"{k}={v}" for k, v in record.items() if k != "command"]
         print(f"{command}  " + "  ".join(parts))

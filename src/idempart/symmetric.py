@@ -4,14 +4,13 @@ A permutation s sends the idempotent f to s . f . s^-1.  Conjugation
 preserves fiber sizes, so the induced partition of [n] is an orbit
 invariant; it is in fact a complete invariant, and this module builds
 the witnessing conjugator explicitly.  Exhaustive orbit and stabilizer
-oracles are capped at small n (overridable via IDEMPART_BRUTE_CAP) and
+oracles enumerate all n! permutations, so they accept n <= 8 only, and
 back the closed-form counts elsewhere in the package.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import exact_div, factorial
@@ -23,9 +22,7 @@ from .transformations import (
 )
 
 __all__ = [
-    "BRUTE_CAP_ENV",
     "Permutation",
-    "brute_force_cap",
     "conjugate_idempotent",
     "conjugate_map",
     "conjugator",
@@ -37,23 +34,6 @@ __all__ = [
 ]
 
 PERMUTATION_ENUM_LIMIT = 8
-BRUTE_CAP_ENV = "IDEMPART_BRUTE_CAP"
-
-
-def brute_force_cap() -> int:
-    """Largest n the exhaustive oracles accept: 6, or IDEMPART_BRUTE_CAP in 1..8."""
-    raw = os.environ.get(BRUTE_CAP_ENV)
-    if raw is None:
-        return 6
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{BRUTE_CAP_ENV} must be an integer, got {raw!r}") from None
-    if not 1 <= cap <= PERMUTATION_ENUM_LIMIT:
-        raise ValueError(
-            f"{BRUTE_CAP_ENV} must lie in 1..{PERMUTATION_ENUM_LIMIT}, got {cap}"
-        )
-    return cap
 
 
 class Permutation:
@@ -161,9 +141,6 @@ def conjugate_idempotent(f: Idempotent, sigma: Permutation) -> Idempotent:
 
 def orbit_of(f: Idempotent) -> set[Idempotent]:
     """All conjugates of f, by exhaustive conjugation.  Oracle use only."""
-    cap = brute_force_cap()
-    if f.n > cap:
-        raise ValueError(f"n = {f.n} exceeds the brute-force cap {cap}")
     seen = {_conjugated(f.values, sigma) for sigma in enumerate_permutations(f.n)}
     return {Idempotent(vals) for vals in seen}
 
@@ -204,9 +181,6 @@ def conjugator(f: Idempotent, g: Idempotent) -> Permutation:
 
 def stabilizer_bruteforce(f: Idempotent) -> tuple[Permutation, ...]:
     """All permutations fixing f under conjugation, lexicographic order."""
-    cap = brute_force_cap()
-    if f.n > cap:
-        raise ValueError(f"n = {f.n} exceeds the brute-force cap {cap}")
     vals = f.values
     return tuple(
         sigma
@@ -225,9 +199,8 @@ def count_orbits_burnside(n: int) -> int:
     Sums brute-force stabilizer sizes over all idempotents and divides
     by n!; the division must be exact, a remainder would mean a bug.
     """
-    cap = brute_force_cap()
-    if not 1 <= n <= cap:
-        raise ValueError(f"n must lie in 1..{cap} for the exhaustive sum, got {n}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     perms = list(enumerate_permutations(n))
     total = sum(_stab_count(f.values, perms) for f in enumerate_idempotents(n))
     return exact_div(total, factorial(n))

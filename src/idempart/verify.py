@@ -36,9 +36,9 @@ from .stabilizer import (
     stabilizer_order_formula,
 )
 from .symmetric import (
+    PERMUTATION_ENUM_LIMIT,
     Permutation,
     _conjugated,
-    brute_force_cap,
     conjugate_idempotent,
     conjugator,
     enumerate_permutations,
@@ -313,14 +313,14 @@ def _check_formula_level(n: int) -> Iterator[CheckResult]:
 def run_verification(nmax_exhaustive: int, nmax_formula: int) -> Iterator[CheckResult]:
     """Run every cross-check up to the given depth caps.
 
-    nmax_exhaustive bounds the enumeration-backed identities and must
-    not exceed the brute-force cap; nmax_formula bounds the pure
+    nmax_exhaustive bounds the enumeration-backed identities, which
+    conjugate by all n! permutations; nmax_formula bounds the pure
     formula identities.
     """
-    cap = brute_force_cap()
-    if not 1 <= nmax_exhaustive <= cap:
+    if not 1 <= nmax_exhaustive <= PERMUTATION_ENUM_LIMIT:
         raise ValueError(
-            f"exhaustive depth must lie in 1..{cap}, got {nmax_exhaustive}"
+            f"exhaustive depth must lie in 1..{PERMUTATION_ENUM_LIMIT}, "
+            f"got {nmax_exhaustive}"
         )
     if nmax_formula < 1:
         raise ValueError(f"formula depth must be positive, got {nmax_formula}")

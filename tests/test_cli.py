@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from idempart import cli, formula, stabilizer, verify
 from idempart.cli import main
-from idempart.symmetric import BRUTE_CAP_ENV, PERMUTATION_ENUM_LIMIT
+from idempart.symmetric import PERMUTATION_ENUM_LIMIT
 from idempart.verify import CheckResult
 
 
@@ -165,7 +165,7 @@ def test_orbits_n1_and_n2(capsys):
 
 
 def test_orbits_guard(capsys):
-    assert main(["orbits", "7"]) == 2
+    assert main(["orbits", "9"]) == 2
     capsys.readouterr()
 
 
@@ -237,24 +237,33 @@ def test_verify_guard_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_brute_cap_env_raises_cli_limits(capsys, monkeypatch):
-    monkeypatch.setenv(BRUTE_CAP_ENV, "3")
-    assert main(["pn", "4", "--method", "burnside"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv(BRUTE_CAP_ENV, "6")
-    code, out = run_cli(capsys, "pn", "4", "--method", "burnside", "--json")
+def test_brute_force_rows_stop_at_the_enumeration_limit(capsys, monkeypatch):
+    for argv in (
+        ["orbits", "9"],
+        ["pn", "9", "--method", "burnside"],
+        ["verify", "--exhaustive", "9"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "<= 8" in captured.err
+    # no environment variable moves the limit any more
+    monkeypatch.setenv("IDEMPART_BRUTE_CAP", "banana")
+    code, out = run_cli(capsys, "orbits", "3", "--json")
     assert code == 0
-    assert json_records(out)[0]["p"] == "5"
-    # the cap is read only by the rows that use it
-    monkeypatch.setenv(BRUTE_CAP_ENV, "banana")
-    code, out = run_cli(capsys, "pn", "10", "--json")
+    assert json_records(out)[-1]["orbits"] == "3"
+
+
+def test_orbits_7_through_main(capsys):
+    code, out = run_cli(capsys, "orbits", "7", "--json")
     assert code == 0
-    assert json_records(out)[0]["p"] == "42"
-    assert main(["orbits", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert BRUTE_CAP_ENV in captured.err
+    *rows, summary = json_records(out)
+    assert len(rows) == 15
+    assert all(r["command"] == "orbit" and r["product_check"] is True for r in rows)
+    assert summary["command"] == "orbits"
+    assert summary["orbits"] == "15"
+    assert summary["all_products_equal_factorial"] is True
 
 
 def _must_not_run(args):
@@ -274,13 +283,10 @@ def test_every_limits_row_rejects_values_outside_it(data):
     row = data.draw(st.sampled_from(sorted(cli._LIMITS)))
     option = data.draw(st.sampled_from(sorted(cli._LIMITS[row])))
     low, high = cli._LIMITS[row][option]
-    if callable(high):
-        high = high()
     value = data.draw(_outside(low, high))
     argv = row.split() + ([str(value)] if option == "n" else [option, str(value)])
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.delenv(BRUTE_CAP_ENV, raising=False)
         for name in ("pn", "idempotents", "orbits", "types", "verify"):
             mp.setattr(cli, f"cmd_{name}", _must_not_run)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -291,23 +297,16 @@ def test_every_limits_row_rejects_values_outside_it(data):
     assert line.startswith("error: ")
 
 
-def test_limits_rows_stay_inside_the_library_guards(monkeypatch):
-    # these rows enumerate all n! permutations of [n]; every accepted
-    # IDEMPART_BRUTE_CAP must keep them inside enumerate_permutations' guard
+def test_limits_rows_stay_inside_the_library_guards():
+    # these rows enumerate all n! permutations of [n] and must stay
+    # inside enumerate_permutations' guard
     brute_rows = {
         "pn --method burnside": "n",
         "orbits": "n",
         "verify": "--exhaustive",
     }
-    for raw in (None, *map(str, range(1, PERMUTATION_ENUM_LIMIT + 1))):
-        if raw is None:
-            monkeypatch.delenv(BRUTE_CAP_ENV, raising=False)
-        else:
-            monkeypatch.setenv(BRUTE_CAP_ENV, raw)
-        for row, option in brute_rows.items():
-            high = cli._LIMITS[row][option][1]
-            high = high() if callable(high) else high
-            assert high <= PERMUTATION_ENUM_LIMIT, (raw, row)
+    for row, option in brute_rows.items():
+        assert cli._LIMITS[row][option][1] <= PERMUTATION_ENUM_LIMIT, row
     # every class group the gu-axioms check enumerates is inside gu_enumerate's guard
     assert verify.GU_CHECK_MAX_ORDER <= stabilizer.GU_ENUM_LIMIT
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from idempart import (
     Idempotent,
     Permutation,
-    brute_force_cap,
+    assemble_idempotent,
     conjugate_idempotent,
     conjugator,
     count_orbits_burnside,
@@ -19,7 +19,7 @@ from idempart import (
     stabilizer_bruteforce,
     type_vector_of,
 )
-from idempart.symmetric import BRUTE_CAP_ENV
+from idempart.symmetric import PERMUTATION_ENUM_LIMIT
 
 
 def test_permutation_validation():
@@ -126,6 +126,29 @@ def test_action_law_randomized(idems_by_n, perms_by_n):
             assert left == conjugate_idempotent(f, tau * sigma)
 
 
+@st.composite
+def _idempotent_and_two_permutations(draw):
+    """An idempotent on [n], n in 1..8, from a drawn image and retraction."""
+    n = draw(st.integers(min_value=1, max_value=PERMUTATION_ENUM_LIMIT))
+    image = draw(st.sets(st.integers(min_value=1, max_value=n), min_size=1))
+    targets = st.sampled_from(sorted(image))
+    retraction = {x: draw(targets) for x in range(1, n + 1) if x not in image}
+    f = assemble_idempotent(n, image, retraction)
+    sigma, tau = (
+        Permutation(draw(st.permutations(range(1, n + 1)))) for _ in range(2)
+    )
+    return f, sigma, tau
+
+
+@given(_idempotent_and_two_permutations())
+def test_action_law_property(drawn):
+    f, sigma, tau = drawn
+    fs = conjugate_idempotent(f, sigma)
+    assert conjugate_idempotent(fs, tau) == conjugate_idempotent(f, tau * sigma)
+    assert conjugate_idempotent(f, Permutation.identity(f.n)) == f
+    assert type_vector_of(fs) == type_vector_of(f)
+
+
 def test_type_vector_invariant_under_conjugation(idems_by_n, perms_by_n):
     for n in range(1, 6):
         for f in idems_by_n[n]:
@@ -230,24 +253,14 @@ def test_burnside_n3_sum_is_18(idems_by_n):
     assert total == 18
 
 
-def test_brute_force_cap_guard():
-    cap = brute_force_cap()
-    assert cap == 6
-    with pytest.raises(ValueError):
-        count_orbits_burnside(cap + 1)
-    too_big = Idempotent.identity(cap + 1)
+def test_exhaustive_oracles_reject_n_above_the_enumeration_limit():
+    n = PERMUTATION_ENUM_LIMIT + 1
+    too_big = Idempotent.identity(n)
     with pytest.raises(ValueError):
         orbit_of(too_big)
     with pytest.raises(ValueError):
         stabilizer_bruteforce(too_big)
-
-
-def test_brute_force_cap_env_override(monkeypatch):
-    monkeypatch.setenv(BRUTE_CAP_ENV, "4")
-    assert brute_force_cap() == 4
     with pytest.raises(ValueError):
-        count_orbits_burnside(5)
-    for raw in ("banana", "0", "9"):
-        monkeypatch.setenv(BRUTE_CAP_ENV, raw)
-        with pytest.raises(ValueError, match=BRUTE_CAP_ENV):
-            brute_force_cap()
+        count_orbits_burnside(n)
+    with pytest.raises(ValueError):
+        count_orbits_burnside(0)
