@@ -23,9 +23,9 @@ from .combinatorics import RemainderError, exact_div, factorial, p_pentagonal
 from .formula import p_via_formula, total_idempotents, type_terms
 from .symmetric import (
     PERMUTATION_ENUM_LIMIT,
+    _conjugation_sweep,
     count_orbits_burnside,
-    orbit_of,
-    stabilizer_bruteforce,
+    enumerate_permutations,
 )
 from .transformations import enumerate_idempotents, type_vector_of
 from .verify import run_verification
@@ -178,12 +178,13 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     reps: dict = {}
     for f in enumerate_idempotents(n):
         reps.setdefault(type_vector_of(f), f)
+    perms = list(enumerate_permutations(n))
     rows = 0
     all_ok = True
     for g, _, _ in type_terms(n):
-        rep = reps[g]
-        size = len(orbit_of(rep))
-        stab = len(stabilizer_bruteforce(rep))
+        orbit, stabilizer = _conjugation_sweep(reps[g].values, perms)
+        size = len(orbit)
+        stab = len(stabilizer)
         ok = size * stab == nfact
         all_ok &= ok
         rows += 1

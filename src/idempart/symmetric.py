@@ -41,7 +41,8 @@ class Permutation:
 
     forward[x-1] is the image of x; backward is the inverse table.
     The empty permutation (n = 0) is allowed, it is the identity of
-    the symmetric group on the empty set.
+    the symmetric group on the empty set.  A product is built with its
+    forward table only; its inverse table is built on first use.
     """
 
     __slots__ = ("n", "forward", "backward")
@@ -57,6 +58,16 @@ class Permutation:
         self.n = n
         self.forward = forward
         self.backward = tuple(backward)
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: a product's backward table
+        if name != "backward":
+            raise AttributeError(name)
+        backward = [0] * self.n
+        for x, v in enumerate(self.forward, start=1):
+            backward[v - 1] = x
+        self.backward = tuple(backward)
+        return self.backward
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -89,14 +100,12 @@ class Permutation:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        # a composition of two bijections is one, so neither table is
-        # checked again; the backward one uses (p * q)^-1 = q^-1 * p^-1
+        # a composition of two bijections is one, so the table is not
+        # checked again
         fwd = self.forward
-        bwd = other.backward
         product = object.__new__(Permutation)
         product.n = self.n
         product.forward = tuple([fwd[v - 1] for v in other.forward])
-        product.backward = tuple([bwd[v - 1] for v in self.backward])
         return product
 
     def __eq__(self, other: object) -> bool:
@@ -143,6 +152,26 @@ def orbit_of(f: Idempotent) -> set[Idempotent]:
     """All conjugates of f, by exhaustive conjugation.  Oracle use only."""
     seen = {_conjugated(f.values, sigma) for sigma in enumerate_permutations(f.n)}
     return {Idempotent(vals) for vals in seen}
+
+
+def _conjugation_sweep(
+    values: tuple[int, ...], perms: Sequence[Permutation]
+) -> tuple[dict[tuple[int, ...], Permutation], list[Permutation]]:
+    """Conjugate one value tuple by every permutation in perms.
+
+    Returns the orbit, each member mapped to the first permutation that
+    carries values onto it, and the permutations that fix values.  With
+    perms all of S_n that is the whole orbit and the whole stabilizer.
+    """
+    conjugators: dict[tuple[int, ...], Permutation] = {}
+    stabilizer = []
+    for sigma in perms:
+        conj = _conjugated(values, sigma)
+        if conj == values:
+            stabilizer.append(sigma)
+        if conj not in conjugators:
+            conjugators[conj] = sigma
+    return conjugators, stabilizer
 
 
 def same_orbit(f: Idempotent, g: Idempotent) -> bool:

@@ -39,6 +39,7 @@ from .symmetric import (
     PERMUTATION_ENUM_LIMIT,
     Permutation,
     _conjugated,
+    _conjugation_sweep,
     conjugate_idempotent,
     conjugator,
     enumerate_permutations,
@@ -73,22 +74,46 @@ def _result(name: str, ok: bool, detail_fail: str) -> CheckResult:
     return CheckResult(name, ok, "" if ok else detail_fail)
 
 
-def _orbit_stats(values_list, perms):
-    """Per-idempotent stabilizer count and canonical orbit key, one sweep."""
-    stab_counts = []
-    orbit_keys = []
-    for values in values_list:
-        stab = 0
-        best = values
-        for sigma in perms:
-            conj = _conjugated(values, sigma)
-            if conj == values:
-                stab += 1
-            if conj < best:
-                best = conj
-        stab_counts.append(stab)
-        orbit_keys.append(best)
-    return stab_counts, orbit_keys
+def _orbit_stats(idems, perms):
+    """Per-idempotent stabilizer count and orbit key, orbit by orbit.
+
+    Each idempotent r that no earlier orbit holds is conjugated by every
+    permutation: that gives its orbit, a conjugator s_f for each member
+    f, and Stab(r).  The count of f is the number of distinct
+    s_f.sigma.s_f^-1, sigma in Stab(r), checked to fix f, or 0 if s_f
+    does not carry r onto f.  When it does, Stab(f) = s_f.Stab(r).s_f^-1,
+    so the count is |Stab(f)|.  The key of f is its orbit's
+    representative r.  The flag says whether the orbits are disjoint
+    and cover the enumerated idempotents, each once.
+    """
+    key_of = {}
+    count_of = {}
+    disjoint = True
+    for f in idems:
+        rep = f.values
+        if rep in key_of:
+            continue
+        conjugators, stab = _conjugation_sweep(rep, perms)
+        for member, s in conjugators.items():
+            disjoint &= member not in key_of
+            key_of[member] = rep
+            if _conjugated(rep, s) != member:
+                count_of[member] = 0
+                continue
+            s_inv = s.inverse()
+            fixing = set()
+            for sigma in stab:
+                t = s * sigma * s_inv
+                if _conjugated(member, t) == member:
+                    fixing.add(t)
+            count_of[member] = len(fixing)
+    values = [f.values for f in idems]
+    enumerated = set(values)
+    partition = (
+        disjoint and len(enumerated) == len(values) and key_of.keys() == enumerated
+    )
+    counts = [count_of.get(v, 0) for v in values]
+    return counts, [key_of.get(v) for v in values], partition
 
 
 def _block_idempotent(k: int, m: int) -> Idempotent:
@@ -115,6 +140,11 @@ def _induced_permutation(z: GUElement) -> tuple[int, ...]:
         image.append(root)
         image.extend([root + v for v in block.forward])
     return tuple(image)
+
+
+def _element_key(z: GUElement) -> tuple:
+    """The forward tables of z's blocks and outer part."""
+    return tuple([b.forward for b in z.blocks]), z.outer.forward
 
 
 def _gu_shapes(max_order: int) -> list[tuple[int, int]]:
@@ -146,14 +176,22 @@ def _check_gu_shape(k: int, m: int, rng: random.Random) -> CheckResult:
         return CheckResult(name, False, "identity/inverse law failed")
     if order <= GU_EXHAUSTIVE_ORDER:
         # rho injective and multiplicative on all pairs gives
-        # rho((ab)c) = rho(a)rho(b)rho(c) = rho(a(bc)), so (ab)c = a(bc)
-        rho = [Permutation(_induced_permutation(z)) for z in elems]
-        ok = len({r.forward for r in rho}) == order and all(
-            _induced_permutation(gu_multiply(a, b)) == (ra * rb).forward
-            for a, ra in zip(elems, rho)
-            for b, rb in zip(elems, rho)
-        )
-        return _result(name, ok, "associativity failed (exhaustive)")
+        # rho((ab)c) = rho(a)rho(b)rho(c) = rho(a(bc)), so (ab)c = a(bc).
+        # rho reads only k and the forward tables, so the product's rho is
+        # looked up through those tables; a product outside the group fails
+        rho = [_induced_permutation(z) for z in elems]
+        rho_of = {_element_key(z): r for z, r in zip(elems, rho)}
+        failed = CheckResult(name, False, "associativity failed (exhaustive)")
+        if len(set(rho)) != order:
+            return failed
+        for a, ra in zip(elems, rho):
+            for b, rb in zip(elems, rho):
+                ab = gu_multiply(a, b)
+                if ab.fiber_class is not cls and ab.fiber_class != cls:
+                    return failed
+                if rho_of.get(_element_key(ab)) != tuple([ra[v - 1] for v in rb]):
+                    return failed
+        return CheckResult(name, True)
     ok = all(
         gu_multiply(gu_multiply(a, b), c) == gu_multiply(a, gu_multiply(b, c))
         for a, b, c in (
@@ -185,8 +223,7 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
             f"constructive {len(idems)} vs brute {len(brute)}",
         )
 
-    values_list = [f.values for f in idems]
-    stab_counts, orbit_keys = _orbit_stats(values_list, perms)
+    stab_counts, orbit_keys, partition = _orbit_stats(idems, perms)
 
     ok = all(
         stabilizer_order_formula(type_vector_of(f)) == stab
@@ -202,8 +239,9 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
     orbit_sizes = Counter(orbit_keys)
     yield _result(
         f"orbit-count n={n}",
-        len(orbit_sizes) == pn,
-        f"{len(orbit_sizes)} orbits != p({n}) = {pn}",
+        partition and len(orbit_sizes) == pn,
+        f"{len(orbit_sizes)} orbits, p({n}) = {pn}, orbits partition "
+        f"the enumerated idempotents: {partition}",
     )
 
     nfact = factorial(n)

@@ -19,7 +19,7 @@ from idempart import (
     stabilizer_bruteforce,
     type_vector_of,
 )
-from idempart.symmetric import PERMUTATION_ENUM_LIMIT
+from idempart.symmetric import PERMUTATION_ENUM_LIMIT, _conjugation_sweep
 
 
 def test_permutation_validation():
@@ -63,6 +63,24 @@ def test_unchecked_product_is_a_valid_permutation(perms):
     assert pq.forward == tuple(p(q(x)) for x in range(1, p.n + 1))
     assert (pq * r).forward == (p * (q * r)).forward
     assert (pq * r).backward == (p * (q * r)).backward
+    # a product carries only its forward table until the inverse is asked for
+    assert (p * q).inverse() == checked.inverse()
+    assert (p * q).inverse().backward == pq.forward
+    pqrq = (pq * r) * (r * q)
+    assert pqrq.backward == Permutation(pqrq.forward).backward
+
+
+def test_conjugation_sweep_matches_orbit_and_stabilizer_oracles():
+    for n in range(1, 6):
+        perms = list(enumerate_permutations(n))
+        for f in enumerate_idempotents(n):
+            conjugators, stab = _conjugation_sweep(f.values, perms)
+            assert {Idempotent(v) for v in conjugators} == orbit_of(f)
+            assert tuple(stab) == stabilizer_bruteforce(f)
+            assert all(
+                conjugate_idempotent(f, s).values == g
+                for g, s in conjugators.items()
+            )
 
 
 def test_enumerate_permutations_counts():

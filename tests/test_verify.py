@@ -1,12 +1,26 @@
+import dataclasses
 import functools
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idempart import conjugate_idempotent, gamma_hom, verify
-from idempart.stabilizer import eta_classes, gu_enumerate, gu_identity, gu_order
-from idempart.symmetric import Permutation
+from idempart import (
+    conjugate_idempotent,
+    enumerate_idempotents,
+    enumerate_permutations,
+    gamma_hom,
+    verify,
+)
+from idempart.stabilizer import (
+    GUElement,
+    _element,
+    eta_classes,
+    gu_enumerate,
+    gu_identity,
+    gu_order,
+)
+from idempart.symmetric import Permutation, _conjugated
 
 # every shape (k, |U|) with k = 1..5 whose class group has at most 1296 elements
 SHAPES = [
@@ -44,6 +58,152 @@ def test_induced_action_stabilizes_the_block_idempotent():
             sigma = _rho(z)
             assert conjugate_idempotent(f, sigma) == f
             assert gamma_hom(sigma, f, z.fiber_class) == z
+
+
+def _full_sweep(idems, perms):
+    """Stabilizer count and least conjugate of every idempotent, each
+    conjugated by every permutation: the |I(n)|·n! reference for the
+    orbit-by-orbit oracle."""
+    stab_counts = []
+    orbit_keys = []
+    for f in idems:
+        stab = 0
+        best = f.values
+        for sigma in perms:
+            conj = _conjugated(f.values, sigma)
+            if conj == f.values:
+                stab += 1
+            if conj < best:
+                best = conj
+        stab_counts.append(stab)
+        orbit_keys.append(best)
+    return stab_counts, orbit_keys
+
+
+def _partition(idems, keys):
+    groups = {}
+    for f, key in zip(idems, keys):
+        groups.setdefault(key, set()).add(f)
+    return {frozenset(g) for g in groups.values()}
+
+
+def test_orbit_by_orbit_oracle_matches_the_full_sweep():
+    for n in range(1, 7):
+        idems = list(enumerate_idempotents(n))
+        perms = list(enumerate_permutations(n))
+        counts, keys, partition = verify._orbit_stats(idems, perms)
+        old_counts, old_keys = _full_sweep(idems, perms)
+        assert partition
+        assert counts == old_counts
+        assert _partition(idems, keys) == _partition(idems, old_keys)
+
+
+def _failed(n):
+    results = list(verify._check_exhaustive_level(n))
+    return {r.name.split(" ")[0] for r in results if not r.ok}
+
+
+def _enumeration(change):
+    exact = verify.enumerate_idempotents
+    return lambda n: iter(change(list(exact(n))))
+
+
+def test_orbit_oracle_fails_on_a_dropped_idempotent(monkeypatch):
+    dropped = _enumeration(lambda idems: idems[:7] + idems[8:])
+    monkeypatch.setattr(verify, "enumerate_idempotents", dropped)
+    assert "orbit-count" in _failed(4)
+
+
+def test_orbit_oracle_fails_on_a_repeated_idempotent(monkeypatch):
+    repeated = _enumeration(lambda idems: idems + idems[7:8])
+    monkeypatch.setattr(verify, "enumerate_idempotents", repeated)
+    assert "orbit-count" in _failed(4)
+
+
+def test_orbit_oracle_fails_on_a_wrong_conjugator(monkeypatch):
+    exact = verify._conjugation_sweep
+    swapped = []
+
+    def sweep(values, perms):
+        conjugators, stab = exact(values, perms)
+        # two members with one stabilizer trade conjugators, so conjugating
+        # Stab(r) by the wrong one still gives permutations that fix f
+        by_stabilizer = {}
+        for g in conjugators:
+            fixing = frozenset(s for s in perms if _conjugated(g, s) == g)
+            by_stabilizer.setdefault(fixing, []).append(g)
+        pair = next((gs[:2] for gs in by_stabilizer.values() if len(gs) > 1), None)
+        if pair and not swapped:
+            f, g = pair
+            conjugators[f], conjugators[g] = conjugators[g], conjugators[f]
+            swapped.append(pair)
+        return conjugators, stab
+
+    monkeypatch.setattr(verify, "_conjugation_sweep", sweep)
+    assert "stabilizer-order" in _failed(4)
+    assert swapped
+
+
+def test_exhaustive_level_7_passes():
+    results = list(verify._check_exhaustive_level(7))
+    assert [r.name.split(" ")[0] for r in results] == [
+        "idempotent-enumeration",
+        "stabilizer-order",
+        "stabilizer-class-product",
+        "orbit-count",
+        "orbit-stabilizer-product",
+        "type-count",
+        "burnside",
+    ]
+    assert all(r.ok for r in results), [r for r in results if not r.ok]
+
+
+def _patched_product(monkeypatch, k, m, replace):
+    """Make verify.gu_multiply return replace(a * b) for one pair (a, b)
+    that no identity or inverse law multiplies."""
+    elems = _elements(k, m)
+    exact = verify.gu_multiply
+    ident = gu_identity(elems[0].fiber_class)
+    a, b = next(
+        (a, b)
+        for a in elems
+        for b in elems
+        if ident not in (a, b, exact(a, b))
+    )
+
+    def gu_multiply(z1, z2):
+        product = exact(z1, z2)
+        return replace(product) if (z1, z2) == (a, b) else product
+
+    monkeypatch.setattr(verify, "gu_multiply", gu_multiply)
+
+
+def test_gu_axioms_check_fails_on_a_product_outside_the_group(monkeypatch):
+    k, m = 3, 2
+    # blocks on k points instead of k - 1: no element of the class
+    _patched_product(
+        monkeypatch,
+        k,
+        m,
+        lambda z: _element(z.fiber_class, (Permutation.identity(k),) * m, z.outer),
+    )
+    result = verify._check_gu_shape(k, m, random.Random(0))
+    assert not result.ok
+    assert result.detail == "associativity failed (exhaustive)"
+
+
+def test_gu_axioms_check_fails_on_a_product_of_another_class(monkeypatch):
+    k, m = 3, 2
+
+    def elsewhere(z):
+        cls = z.fiber_class
+        other = dataclasses.replace(cls, members=tuple(u + 100 for u in cls.members))
+        return GUElement(other, z.blocks, z.outer)
+
+    _patched_product(monkeypatch, k, m, elsewhere)
+    result = verify._check_gu_shape(k, m, random.Random(0))
+    assert not result.ok
+    assert result.detail == "associativity failed (exhaustive)"
 
 
 def test_gu_axioms_check_catches_one_wrong_product(monkeypatch):
