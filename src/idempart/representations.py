@@ -9,7 +9,7 @@ representation by a permutation conjugates that action.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .symmetric import Permutation, conjugate_idempotent, conjugate_map
 from .transformations import FiniteMap, Idempotent, is_idempotent
@@ -46,8 +46,7 @@ def reduce_word(letters: int) -> BWord:
     return BWord.IDENT if letters == 0 else BWord.GEN
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """A representation, stored as the action of the generator b.
 
     The identity's action is never stored; it is always id on [n].

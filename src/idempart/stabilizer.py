@@ -14,11 +14,10 @@ which depends only on the fiber-size type vector, the sparse tuple
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .combinatorics import factorial
-from .symmetric import Permutation, _conjugated, enumerate_permutations
+from .symmetric import Permutation, _conjugated
 from .transformations import Idempotent
 
 __all__ = [
@@ -37,8 +36,7 @@ __all__ = [
 GU_ENUM_LIMIT = 100_000
 
 
-@dataclass(frozen=True)
-class FiberClass:
+class FiberClass(NamedTuple):
     """Image points of one common fiber size.
 
     members is the sorted tuple U of image points whose fibers have
@@ -70,44 +68,81 @@ def eta_classes(f: Idempotent) -> list[FiberClass]:
     return classes
 
 
-@dataclass(frozen=True)
+def _is_bijection(table: tuple[int, ...], n: int) -> bool:
+    return sorted(table) == list(range(1, n + 1))
+
+
 class GUElement:
     """One element of the class group: per-member blocks plus a twist.
 
-    blocks[i] permutes positions 1..k-1 of the reference fiber and is
-    attached to members[i]; outer permutes positions 1..|U| of the
-    member list.  For fiber size 1 every block is the empty permutation.
+    blocks[i] is the forward table of a bijection of positions 1..k-1
+    of the reference fiber (blocks[i][j-1] is the image of j) and is
+    attached to members[i]; outer is the forward table of a bijection
+    of positions 1..|U| of the member list.  For fiber size 1 every
+    block is the empty table.  Two elements are equal when their
+    classes and tables are.
     """
 
-    fiber_class: FiberClass
-    blocks: tuple[Permutation, ...]
-    outer: Permutation
+    __slots__ = ("fiber_class", "blocks", "outer")
 
-    def __post_init__(self) -> None:
-        m = len(self.fiber_class.members)
-        k = self.fiber_class.fiber_size
-        if len(self.blocks) != m:
-            raise ValueError(f"need {m} blocks, got {len(self.blocks)}")
-        if any(b.n != k - 1 for b in self.blocks):
-            raise ValueError(f"blocks must permute {k - 1} positions")
-        if self.outer.n != m:
-            raise ValueError(f"outer must permute {m} positions")
+    def __init__(
+        self,
+        fiber_class: FiberClass,
+        blocks: Iterable[Iterable[int]],
+        outer: Iterable[int],
+    ) -> None:
+        m = len(fiber_class.members)
+        k = fiber_class.fiber_size
+        blocks = tuple(tuple(b) for b in blocks)
+        outer = tuple(outer)
+        if len(blocks) != m:
+            raise ValueError(f"need {m} blocks, got {len(blocks)}")
+        if not all(_is_bijection(b, k - 1) for b in blocks):
+            raise ValueError(f"blocks must be bijections of 1..{k - 1}")
+        if not _is_bijection(outer, m):
+            raise ValueError(f"outer must be a bijection of 1..{m}")
+        self.fiber_class = fiber_class
+        self.blocks = blocks
+        self.outer = outer
 
-    def block_of(self, u: int) -> Permutation:
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GUElement):
+            return NotImplemented
+        return (
+            self.outer == other.outer
+            and self.blocks == other.blocks
+            and self.fiber_class == other.fiber_class
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.blocks, self.outer))
+
+    def __repr__(self) -> str:
+        return f"GUElement({self.fiber_class!r}, {self.blocks!r}, {self.outer!r})"
+
+    def block_of(self, u: int) -> tuple[int, ...]:
         """Block attached to the image point u."""
         return self.blocks[self.fiber_class.members.index(u)]
 
 
 def _element(
-    cls: FiberClass, blocks: tuple[Permutation, ...], outer: Permutation
+    cls: FiberClass, blocks: tuple[tuple[int, ...], ...], outer: tuple[int, ...]
 ) -> GUElement:
-    # GUElement without __post_init__'s shape checks, for products and
-    # inverses: those have |U| blocks on k-1 points by construction
+    # GUElement without the constructor's table checks, for products,
+    # inverses and enumeration: those have |U| bijections of 1..k-1 and
+    # a bijection of 1..|U| by construction
     z = object.__new__(GUElement)
-    object.__setattr__(z, "fiber_class", cls)
-    object.__setattr__(z, "blocks", blocks)
-    object.__setattr__(z, "outer", outer)
+    z.fiber_class = cls
+    z.blocks = blocks
+    z.outer = outer
     return z
+
+
+def _inverse_table(table: tuple[int, ...]) -> tuple[int, ...]:
+    inverse = [0] * len(table)
+    for x, v in enumerate(table, start=1):
+        inverse[v - 1] = x
+    return tuple(inverse)
 
 
 def gu_order(cls: FiberClass) -> int:
@@ -120,8 +155,8 @@ def gu_order(cls: FiberClass) -> int:
 def gu_identity(cls: FiberClass) -> GUElement:
     """Identity element: all blocks trivial, outer trivial."""
     m = len(cls.members)
-    e_block = Permutation.identity(cls.fiber_size - 1)
-    return GUElement(cls, (e_block,) * m, Permutation.identity(m))
+    e_block = tuple(range(1, cls.fiber_size))
+    return GUElement(cls, (e_block,) * m, range(1, m + 1))
 
 
 def gu_multiply(z1: GUElement, z2: GUElement) -> GUElement:
@@ -129,36 +164,45 @@ def gu_multiply(z1: GUElement, z2: GUElement) -> GUElement:
 
     The block at position i of the product is z1's block at position
     outer2(i) composed after z2's block at i; the outer parts compose
-    directly.
+    directly.  Composition p after q has the table [p[v-1] for v in q].
     """
     cls = z1.fiber_class
     if cls is not z2.fiber_class and cls != z2.fiber_class:
         raise ValueError("elements belong to different classes")
     blocks1 = z1.blocks
+    outer1 = z1.outer
+    outer2 = z2.outer
     blocks = tuple(
-        [blocks1[j - 1] * b2 for j, b2 in zip(z2.outer.forward, z2.blocks)]
+        [
+            tuple([blocks1[j - 1][v - 1] for v in b2])
+            for j, b2 in zip(outer2, z2.blocks)
+        ]
     )
-    return _element(cls, blocks, z1.outer * z2.outer)
+    return _element(cls, blocks, tuple([outer1[v - 1] for v in outer2]))
 
 
 def gu_inverse(z: GUElement) -> GUElement:
     """Inverse: invert the outer part, pull back and invert each block."""
-    outer_inv = z.outer.inverse()
+    outer_inv = _inverse_table(z.outer)
     blocks = z.blocks
-    inverted = tuple([blocks[j - 1].inverse() for j in outer_inv.forward])
+    inverted = tuple([_inverse_table(blocks[j - 1]) for j in outer_inv])
     return _element(z.fiber_class, inverted, outer_inv)
 
 
 def gu_enumerate(cls: FiberClass) -> Iterator[GUElement]:
-    """Every element of the class group exactly once, deterministically."""
+    """Every element of the class group exactly once, deterministically.
+
+    Outer parts run in lexicographic order of their tables, and for each
+    the block tuples in lexicographic order.
+    """
     order = gu_order(cls)
     if order > GU_ENUM_LIMIT:
         raise ValueError(f"class group of order {order} exceeds {GU_ENUM_LIMIT}")
     m = len(cls.members)
-    base = list(enumerate_permutations(cls.fiber_size - 1))
-    for outer in enumerate_permutations(m):
+    base = list(itertools.permutations(range(1, cls.fiber_size)))
+    for outer in itertools.permutations(range(1, m + 1)):
         for blocks in itertools.product(base, repeat=m):
-            yield GUElement(cls, blocks, outer)
+            yield _element(cls, blocks, outer)
 
 
 def _check_class_of(f: Idempotent, cls: FiberClass) -> None:
@@ -185,15 +229,15 @@ def gamma_hom(sigma: Permutation, f: Idempotent, cls: FiberClass) -> GUElement:
     _check_class_of(f, cls)
     members = cls.members
     pos = {u: i for i, u in enumerate(members, start=1)}
-    outer = Permutation(pos[sigma(u)] for u in members)
+    outer = [pos[sigma(u)] for u in members]
     blocks = []
     for u in members:
         src = [y for y in f.fibers[u] if y != u]
         dst_root = sigma(u)
         dst = [y for y in f.fibers[dst_root] if y != dst_root]
         dst_pos = {y: j for j, y in enumerate(dst, start=1)}
-        blocks.append(Permutation(dst_pos[sigma(y)] for y in src))
-    return GUElement(cls, tuple(blocks), outer)
+        blocks.append([dst_pos[sigma(y)] for y in src])
+    return GUElement(cls, blocks, outer)
 
 
 def stabilizer_order_formula(g: tuple[tuple[int, int], ...]) -> int:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .combinatorics import enumerate_partitions, factorial, p_pentagonal
 from .formula import (
@@ -63,8 +62,7 @@ GU_EXHAUSTIVE_ORDER = 500
 GU_RANDOM_TRIPLES = 1000
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -100,12 +98,16 @@ def _orbit_stats(idems, perms):
             if _conjugated(rep, s) != member:
                 count_of[member] = 0
                 continue
-            s_inv = s.inverse()
+            # t = s.sigma.s^-1 is built as a forward table; t.f.t^-1 = f
+            # iff t.f = f.t, so the fix test needs no inverse of t
+            fwd_s = s.forward
+            inv_s = s.backward
             fixing = set()
             for sigma in stab:
-                t = s * sigma * s_inv
-                if _conjugated(member, t) == member:
-                    fixing.add(t)
+                fwd_sigma = sigma.forward
+                fwd = tuple([fwd_s[fwd_sigma[v - 1] - 1] for v in inv_s])
+                if [fwd[v - 1] for v in member] == [member[v - 1] for v in fwd]:
+                    fixing.add(fwd)
             count_of[member] = len(fixing)
     values = [f.values for f in idems]
     enumerated = set(values)
@@ -135,16 +137,11 @@ def _induced_permutation(z: GUElement) -> tuple[int, ...]:
     """
     k = z.fiber_class.fiber_size
     image = []
-    for target, block in zip(z.outer.forward, z.blocks):
+    for target, block in zip(z.outer, z.blocks):
         root = (target - 1) * k + 1
         image.append(root)
-        image.extend([root + v for v in block.forward])
+        image.extend([root + v for v in block])
     return tuple(image)
-
-
-def _element_key(z: GUElement) -> tuple:
-    """The forward tables of z's blocks and outer part."""
-    return tuple([b.forward for b in z.blocks]), z.outer.forward
 
 
 def _gu_shapes(max_order: int) -> list[tuple[int, int]]:
@@ -177,19 +174,17 @@ def _check_gu_shape(k: int, m: int, rng: random.Random) -> CheckResult:
     if order <= GU_EXHAUSTIVE_ORDER:
         # rho injective and multiplicative on all pairs gives
         # rho((ab)c) = rho(a)rho(b)rho(c) = rho(a(bc)), so (ab)c = a(bc).
-        # rho reads only k and the forward tables, so the product's rho is
-        # looked up through those tables; a product outside the group fails
+        # The product's rho is looked up by the product itself; elements
+        # are equal only with equal class and tables, so a product outside
+        # the enumerated group, or of another class, is not found and fails
         rho = [_induced_permutation(z) for z in elems]
-        rho_of = {_element_key(z): r for z, r in zip(elems, rho)}
+        rho_of = dict(zip(elems, rho))
         failed = CheckResult(name, False, "associativity failed (exhaustive)")
         if len(set(rho)) != order:
             return failed
         for a, ra in zip(elems, rho):
             for b, rb in zip(elems, rho):
-                ab = gu_multiply(a, b)
-                if ab.fiber_class is not cls and ab.fiber_class != cls:
-                    return failed
-                if rho_of.get(_element_key(ab)) != tuple([ra[v - 1] for v in rb]):
+                if rho_of.get(gu_multiply(a, b)) != tuple([ra[v - 1] for v in rb]):
                     return failed
         return CheckResult(name, True)
     ok = all(

@@ -105,8 +105,7 @@ def test_gu_identity_is_neutral():
 
 def test_gu_outer_swap_squares_to_identity():
     cls = single_class(block_idempotent(2, 2))
-    trivial = Permutation.identity(1)
-    z = GUElement(cls, (trivial, trivial), Permutation((2, 1)))
+    z = GUElement(cls, ((1,), (1,)), (2, 1))
     assert gu_multiply(z, z) == gu_identity(cls)
 
 
@@ -124,17 +123,15 @@ def test_gu_inverse_examples():
 
     # pure outer 3-cycle inverts to the reverse cycle
     cls = single_class(Idempotent.identity(3))
-    empty = Permutation.identity(0)
-    z = GUElement(cls, (empty,) * 3, Permutation((2, 3, 1)))
-    assert gu_inverse(z).outer == Permutation((3, 1, 2))
+    z = GUElement(cls, ((),) * 3, (2, 3, 1))
+    assert gu_inverse(z).outer == (3, 1, 2)
 
     # pure block element inverts each block in place
     cls = single_class(Idempotent((1, 1, 1, 1)))  # k = 4, reference has 3 points
-    cycle = Permutation((2, 3, 1))
-    z = GUElement(cls, (cycle,), Permutation.identity(1))
+    z = GUElement(cls, ((2, 3, 1),), (1,))
     inv = gu_inverse(z)
-    assert inv.outer == Permutation.identity(1)
-    assert inv.blocks == (cycle.inverse(),)
+    assert inv.outer == (1,)
+    assert inv.blocks == ((3, 1, 2),)
 
 
 def test_gu_inverse_law_everywhere():
@@ -164,19 +161,33 @@ def test_gu_associativity_small_shapes():
 
 def test_gu_element_validation():
     cls = single_class(block_idempotent(2, 2))
-    trivial = Permutation.identity(1)
+    assert GUElement(cls, [[1], [1]], [2, 1]) == GUElement(cls, ((1,), (1,)), (2, 1))
     with pytest.raises(ValueError):
-        GUElement(cls, (trivial,), Permutation.identity(2))  # too few blocks
+        GUElement(cls, ((1,),), (1, 2))  # too few blocks
     with pytest.raises(ValueError):
-        GUElement(cls, (Permutation.identity(2),) * 2, Permutation.identity(2))
+        GUElement(cls, ((1, 2),) * 2, (1, 2))  # blocks on k points
     with pytest.raises(ValueError):
-        GUElement(cls, (trivial, trivial), Permutation.identity(3))
+        GUElement(cls, ((), ()), (1, 2))  # blocks on k - 2 points
+    with pytest.raises(ValueError):
+        GUElement(cls, ((1,), (1,)), (1, 2, 3))  # outer too long
+
+    cls = single_class(block_idempotent(3, 2))
+    with pytest.raises(ValueError):
+        GUElement(cls, ((1, 1), (1, 2)), (1, 2))  # a block is not a bijection
+    with pytest.raises(ValueError):
+        GUElement(cls, ((1, 2), (2, 3)), (1, 2))  # a block leaves 1..k-1
+    with pytest.raises(ValueError):
+        GUElement(cls, ((1, 2), (1, 2)), (1, 1))  # outer is not a bijection
+    with pytest.raises(ValueError):
+        GUElement(cls, ((1, 2), (1, 2)), (0, 1))  # outer leaves 1..|U|
 
 
 def test_gu_block_of_accessor():
     cls = single_class(block_idempotent(3, 2))
     z = gu_identity(cls)
-    assert z.block_of(cls.members[0]) == Permutation.identity(2)
+    assert z.block_of(cls.members[0]) == (1, 2)
+    z = GUElement(cls, ((1, 2), (2, 1)), (2, 1))
+    assert z.block_of(cls.members[1]) == (2, 1)
 
 
 # ------------------------------------------------------------- gamma hom
@@ -192,8 +203,8 @@ def test_gamma_constant_map_example():
     f = Idempotent((1, 1, 1))
     cls = single_class(f)
     z = gamma_hom(Permutation((1, 3, 2)), f, cls)
-    assert z.outer == Permutation.identity(1)
-    assert z.blocks == (Permutation((2, 1)),)
+    assert z.outer == (1,)
+    assert z.blocks == ((2, 1),)
 
 
 def test_gamma_rejects_non_stabilizer():

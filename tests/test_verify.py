@@ -1,5 +1,5 @@
-import dataclasses
 import functools
+import math
 import random
 
 from hypothesis import given, settings
@@ -18,6 +18,8 @@ from idempart.stabilizer import (
     eta_classes,
     gu_enumerate,
     gu_identity,
+    gu_inverse,
+    gu_multiply,
     gu_order,
 )
 from idempart.symmetric import Permutation, _conjugated
@@ -48,6 +50,29 @@ def test_induced_action_is_faithful_and_multiplicative(data):
     a, b = (data.draw(st.sampled_from(elems)) for _ in range(2))
     assert (_rho(a) == _rho(b)) == (a == b)
     assert _rho(verify.gu_multiply(a, b)) == _rho(a) * _rho(b)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_table_product_and_inverse_match_permutation_objects(data):
+    # the twisted product and inverse, recomputed through Permutation
+    # objects as an independent oracle
+    k, m = data.draw(st.sampled_from(SHAPES))
+    elems = _elements(k, m)
+    a, b = (data.draw(st.sampled_from(elems)) for _ in range(2))
+    ab = gu_multiply(a, b)
+    assert ab.fiber_class == a.fiber_class
+    assert ab.blocks == tuple(
+        (Permutation(a.blocks[j - 1]) * Permutation(b.blocks[i])).forward
+        for i, j in enumerate(b.outer)
+    )
+    assert ab.outer == (Permutation(a.outer) * Permutation(b.outer)).forward
+    inv = gu_inverse(a)
+    outer_inv = Permutation(a.outer).inverse()
+    assert inv.blocks == tuple(
+        Permutation(a.blocks[j - 1]).inverse().forward for j in outer_inv.forward
+    )
+    assert inv.outer == outer_inv.forward
 
 
 def test_induced_action_stabilizes_the_block_idempotent():
@@ -185,7 +210,7 @@ def test_gu_axioms_check_fails_on_a_product_outside_the_group(monkeypatch):
         monkeypatch,
         k,
         m,
-        lambda z: _element(z.fiber_class, (Permutation.identity(k),) * m, z.outer),
+        lambda z: _element(z.fiber_class, (tuple(range(1, k + 1)),) * m, z.outer),
     )
     result = verify._check_gu_shape(k, m, random.Random(0))
     assert not result.ok
@@ -197,7 +222,7 @@ def test_gu_axioms_check_fails_on_a_product_of_another_class(monkeypatch):
 
     def elsewhere(z):
         cls = z.fiber_class
-        other = dataclasses.replace(cls, members=tuple(u + 100 for u in cls.members))
+        other = cls._replace(members=tuple(u + 100 for u in cls.members))
         return GUElement(other, z.blocks, z.outer)
 
     _patched_product(monkeypatch, k, m, elsewhere)
@@ -229,3 +254,35 @@ def test_gu_axioms_check_catches_one_wrong_product(monkeypatch):
     assert result.name == "gu-axioms k=3 |U|=2"
     assert not result.ok
     assert result.detail == "associativity failed (exhaustive)"
+
+
+def test_gu_axioms_multiplies_every_pair_on_every_shape(monkeypatch):
+    # the 27 shapes of order <= 10,000, each checked with at least the
+    # products its laws need: the identity and inverse laws on every
+    # element, then every pair up to order 500 and 1000 triples above
+    calls = 0
+    exact = verify.gu_multiply
+
+    def gu_multiply(z1, z2):
+        nonlocal calls
+        calls += 1
+        return exact(z1, z2)
+
+    monkeypatch.setattr(verify, "gu_multiply", gu_multiply)
+    spent = {}
+    before = 0
+    for result in verify.run_verification(1, 1):
+        if result.name.startswith("gu-axioms"):
+            assert result.ok, result
+            spent[result.name] = calls - before
+        before = calls
+    shapes = [
+        (k, m)
+        for k, top in ((1, 7), (2, 7), (3, 5), (4, 3), (5, 2), (6, 1), (7, 1), (8, 1))
+        for m in range(1, top + 1)
+    ]
+    assert list(spent) == [f"gu-axioms k={k} |U|={m}" for k, m in shapes]
+    for k, m in shapes:
+        order = math.factorial(k - 1) ** m * math.factorial(m)
+        pairs = order**2 if order <= 500 else 4 * 1000
+        assert spent[f"gu-axioms k={k} |U|={m}"] >= 4 * order + pairs, (k, m)
