@@ -48,7 +48,6 @@ from .stabilizer import (
 from .symmetric import (
     Permutation,
     conjugate_idempotent,
-    conjugate_map,
     conjugator,
     count_orbits_burnside,
     enumerate_permutations,
@@ -60,6 +59,7 @@ from .transformations import (
     FiniteMap,
     Idempotent,
     assemble_idempotent,
+    block_idempotent,
     compose,
     decompose_idempotent,
     enumerate_idempotents,

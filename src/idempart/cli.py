@@ -27,7 +27,7 @@ from .symmetric import (
     count_orbits_burnside,
     enumerate_permutations,
 )
-from .transformations import enumerate_idempotents, type_vector_of
+from .transformations import block_idempotent, enumerate_idempotents, type_vector_of
 from .verify import run_verification
 
 __all__ = ["main", "run"]
@@ -79,27 +79,22 @@ def _limit_error(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _stringify(value: Any) -> Any:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_stringify(v) for v in value]
-    return value
-
-
 def _emit(as_json: bool, command: str, **fields: Any) -> None:
     """Print one record; fields keep their order and None fields are left out.
 
     Integer values are rendered as exact decimal strings so that nothing
-    is ever squeezed through floating point.
+    is ever squeezed through floating point; a list field is passed in
+    as strings already.
     """
     record: dict[str, Any] = {"command": command}
     for key, value in fields.items():
         if value is None:
             continue
-        record[key] = round(value, 3) if key == "elapsed_ms" else _stringify(value)
+        if key == "elapsed_ms":
+            value = round(value, 3)
+        elif type(value) is int:  # not bool, a subclass of int
+            value = str(value)
+        record[key] = value
     if as_json:
         print(_JSON.encode(record))
     else:
@@ -150,7 +145,7 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
                 args.json,
                 "idempotent",
                 n=n,
-                values=list(f.values),
+                values=[str(v) for v in f.values],
                 type=_type_key(n, type_vector_of(f)),
             )
         method = "constructive"
@@ -175,14 +170,11 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     n = args.n
     start = time.perf_counter()
     nfact = factorial(n)
-    reps: dict = {}
-    for f in enumerate_idempotents(n):
-        reps.setdefault(type_vector_of(f), f)
     perms = list(enumerate_permutations(n))
     rows = 0
     all_ok = True
     for g, _, _ in type_terms(n):
-        orbit, stabilizer = _conjugation_sweep(reps[g].values, perms)
+        orbit, stabilizer = _conjugation_sweep(block_idempotent(g).values, perms)
         size = len(orbit)
         stab = len(stabilizer)
         ok = size * stab == nfact

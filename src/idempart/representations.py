@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .symmetric import Permutation, conjugate_idempotent, conjugate_map
+from .symmetric import Permutation, conjugate_idempotent
 from .transformations import FiniteMap, Idempotent, is_idempotent
 
 __all__ = [
@@ -78,13 +78,12 @@ def apply_rep(rho: Representation, w: BWord, x: int) -> int:
 
 
 def conjugate_rep(rho: Representation, sigma: Permutation) -> Representation:
-    """Conjugate representation: the generator acts as sigma.f.sigma^-1."""
-    if rho.n != sigma.n:
-        raise ValueError(f"size mismatch: {rho.n} vs {sigma.n}")
-    action = rho.action_of_b
-    if isinstance(action, Idempotent):
-        return Representation(conjugate_idempotent(action, sigma))
-    return Representation(conjugate_map(action, sigma))
+    """Conjugate representation: the generator acts as sigma.f.sigma^-1.
+
+    Raises ValueError if the sizes differ or the stored action is not
+    idempotent, i.e. rho is not a representation.
+    """
+    return Representation(conjugate_idempotent(rho.action_of_b, sigma))
 
 
 def check_representation(rho: Representation) -> bool:

@@ -24,7 +24,6 @@ from .transformations import (
 __all__ = [
     "Permutation",
     "conjugate_idempotent",
-    "conjugate_map",
     "conjugator",
     "count_orbits_burnside",
     "enumerate_permutations",
@@ -41,8 +40,7 @@ class Permutation:
 
     forward[x-1] is the image of x; backward is the inverse table.
     The empty permutation (n = 0) is allowed, it is the identity of
-    the symmetric group on the empty set.  A product is built with its
-    forward table only; its inverse table is built on first use.
+    the symmetric group on the empty set.
     """
 
     __slots__ = ("n", "forward", "backward")
@@ -58,16 +56,6 @@ class Permutation:
         self.n = n
         self.forward = forward
         self.backward = tuple(backward)
-
-    def __getattr__(self, name: str):
-        # reached only for an unset slot: a product's backward table
-        if name != "backward":
-            raise AttributeError(name)
-        backward = [0] * self.n
-        for x, v in enumerate(self.forward, start=1):
-            backward[v - 1] = x
-        self.backward = tuple(backward)
-        return self.backward
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -88,11 +76,7 @@ class Permutation:
         return self.backward[x - 1]
 
     def inverse(self) -> "Permutation":
-        inv = object.__new__(Permutation)
-        inv.n = self.n
-        inv.forward = self.backward
-        inv.backward = self.forward
-        return inv
+        return _permutation(self.n, self.backward, self.forward)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (p * q)(x) = p(q(x)), q applied first."""
@@ -100,13 +84,14 @@ class Permutation:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        # a composition of two bijections is one, so the table is not
-        # checked again
+        # (pq)^-1 = q^-1 p^-1
         fwd = self.forward
-        product = object.__new__(Permutation)
-        product.n = self.n
-        product.forward = tuple([fwd[v - 1] for v in other.forward])
-        return product
+        bwd = other.backward
+        return _permutation(
+            self.n,
+            tuple([fwd[v - 1] for v in other.forward]),
+            tuple([bwd[v - 1] for v in self.backward]),
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.forward == other.forward
@@ -116,6 +101,19 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.forward})"
+
+
+def _permutation(
+    n: int, forward: tuple[int, ...], backward: tuple[int, ...]
+) -> Permutation:
+    # Permutation without the constructor's bijection check, for products
+    # and inverses: those have mutually inverse bijections of [n] by
+    # construction
+    p = object.__new__(Permutation)
+    p.n = n
+    p.forward = forward
+    p.backward = backward
+    return p
 
 
 def enumerate_permutations(n: int) -> Iterator[Permutation]:
@@ -134,15 +132,11 @@ def _conjugated(values: tuple[int, ...], sigma: Permutation) -> tuple[int, ...]:
     return tuple([fwd[values[b - 1] - 1] for b in sigma.backward])
 
 
-def conjugate_map(f: FiniteMap, sigma: Permutation) -> FiniteMap:
-    """The map x -> sigma(f(sigma^-1(x)))."""
-    if f.n != sigma.n:
-        raise ValueError(f"size mismatch: map on [{f.n}], permutation on [{sigma.n}]")
-    return FiniteMap(_conjugated(f.values, sigma))
+def conjugate_idempotent(f: FiniteMap, sigma: Permutation) -> Idempotent:
+    """Conjugate of an idempotent; the result is again idempotent.
 
-
-def conjugate_idempotent(f: Idempotent, sigma: Permutation) -> Idempotent:
-    """Conjugate of an idempotent; the result is again idempotent."""
+    Raises ValueError if the sizes differ or f is not idempotent.
+    """
     if f.n != sigma.n:
         raise ValueError(f"size mismatch: map on [{f.n}], permutation on [{sigma.n}]")
     return Idempotent(_conjugated(f.values, sigma))

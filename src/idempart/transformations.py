@@ -17,6 +17,7 @@ __all__ = [
     "FiniteMap",
     "Idempotent",
     "assemble_idempotent",
+    "block_idempotent",
     "compose",
     "decompose_idempotent",
     "enumerate_idempotents",
@@ -197,3 +198,16 @@ def type_vector_of(f: Idempotent) -> tuple[tuple[int, int], ...]:
     with g(k) = 0 are left out.
     """
     return tuple(sorted(Counter(map(len, f.fibers.values())).items()))
+
+
+def block_idempotent(g: tuple[tuple[int, int], ...]) -> Idempotent:
+    """The idempotent of sparse type g whose fibers are consecutive blocks.
+
+    The g(k) fibers of size k come in ascending k, each a block of k
+    consecutive points rooted at its first point.
+    """
+    values: list[int] = []
+    for k, gk in g:
+        for _ in range(gk):
+            values.extend([len(values) + 1] * k)
+    return Idempotent(values)

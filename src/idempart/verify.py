@@ -47,6 +47,7 @@ from .symmetric import (
 from .transformations import (
     BRUTE_FORCE_MAP_LIMIT,
     Idempotent,
+    block_idempotent,
     enumerate_idempotents,
     enumerate_idempotents_bruteforce,
     type_vector_of,
@@ -118,17 +119,8 @@ def _orbit_stats(idems, perms):
     return counts, [key_of.get(v) for v in values], partition
 
 
-def _block_idempotent(k: int, m: int) -> Idempotent:
-    """Idempotent on [k*m] with m fibers of size k, for synthetic classes."""
-    values = []
-    for block in range(m):
-        root = block * k + 1
-        values.extend([root] * k)
-    return Idempotent(values)
-
-
 def _induced_permutation(z: GUElement) -> tuple[int, ...]:
-    """Forward table of the permutation z induces on _block_idempotent(k, |U|).
+    """Forward table of the permutation z induces on block_idempotent(((k, |U|),)).
 
     Member i owns the points i*k+1 (its root) .. i*k+k, and (member i,
     position j) goes to (outer(i), blocks[i](j)), with the root as
@@ -155,7 +147,7 @@ def _gu_shapes(max_order: int) -> list[tuple[int, int]]:
 
 def _check_gu_shape(k: int, m: int, rng: random.Random) -> CheckResult:
     """Group axioms of the class group of m fibers of size k."""
-    cls = eta_classes(_block_idempotent(k, m))[0]
+    cls = eta_classes(block_idempotent(((k, m),)))[0]
     elems = list(gu_enumerate(cls))
     order = gu_order(cls)
     name = f"gu-axioms k={k} |U|={m}"

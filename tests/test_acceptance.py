@@ -10,8 +10,8 @@ import time
 from collections import Counter
 
 from idempart import (
-    Idempotent,
     Permutation,
+    block_idempotent,
     conjugate_idempotent,
     conjugate_rep,
     conjugator,
@@ -107,13 +107,6 @@ def test_criterion_5_orbit_characterization():
     report(5, True, "type criterion == orbit oracle + conjugator works, n = 1..4")
 
 
-def _block_idempotent(k, m):
-    values = []
-    for block in range(m):
-        values.extend([block * k + 1] * k)
-    return Idempotent(values)
-
-
 def _gu_shapes(max_order):
     for k in range(1, 9):
         for m in range(1, 9):
@@ -125,7 +118,7 @@ def test_criterion_6_group_structure_and_gamma():
     rng = random.Random(1257)
     shapes_checked = 0
     for k, m in _gu_shapes(10_000):
-        cls = eta_classes(_block_idempotent(k, m))[0]
+        cls = eta_classes(block_idempotent(((k, m),)))[0]
         elems = list(gu_enumerate(cls))
         order = gu_order(cls)
         assert len(elems) == len(set(elems)) == order, (k, m)

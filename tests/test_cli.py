@@ -193,16 +193,6 @@ def test_types_n4_five_rows(capsys):
     assert summary["quotient"] == "5"
 
 
-def test_verify_small_passes(capsys):
-    code, out = run_cli(
-        capsys, "verify", "--exhaustive", "1", "--formula", "1", "--json"
-    )
-    assert code == 0
-    records = json_records(out)
-    assert records[-1]["failures"] == "0"
-    assert all(r["ok"] is True for r in records if r["command"] == "check")
-
-
 def test_every_check_record_carries_its_time(capsys, monkeypatch):
     def two_checks(exhaustive, formula):
         yield CheckResult("first", True)
@@ -220,12 +210,28 @@ def test_every_check_record_carries_its_time(capsys, monkeypatch):
     assert first["elapsed_ms"] + second["elapsed_ms"] <= summary["elapsed_ms"]
 
 
-def test_verify_moderate_passes(capsys):
-    code, out = run_cli(
-        capsys, "verify", "--exhaustive", "3", "--formula", "8", "--json"
-    )
-    assert code == 0
-    assert json_records(out)[-1]["failures"] == "0"
+@pytest.fixture(scope="module")
+def verify_runs():
+    """Exit code and records of two runs of `verify --exhaustive 3 --formula 8`.
+
+    Every verify run checks all class-group shapes, whatever its depths,
+    so the tests below share these two runs instead of making their own.
+    """
+    runs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", "--exhaustive", "3", "--formula", "8", "--json"])
+        runs.append((code, json_records(out.getvalue())))
+    return runs
+
+
+def test_verify_moderate_passes(verify_runs):
+    for code, records in verify_runs:
+        assert code == 0
+        assert records[-1]["failures"] == "0"
+        checks = [r for r in records if r["command"] == "check"]
+        assert checks and all(r["ok"] is True for r in checks)
 
 
 def test_verify_guard_exits_2(capsys):
@@ -356,15 +362,9 @@ def test_verify_failure_is_reported_and_exits_1(capsys, monkeypatch):
     ]
 
 
-def test_machine_output_is_deterministic(capsys):
-    runs = []
-    for _ in range(2):
-        code, out = run_cli(
-            capsys, "verify", "--exhaustive", "2", "--formula", "4", "--json"
-        )
-        assert code == 0
-        runs.append(strip_elapsed(json_records(out)))
-    assert runs[0] == runs[1]
+def test_machine_output_is_deterministic(capsys, verify_runs):
+    (_, first), (_, second) = verify_runs
+    assert strip_elapsed(first) == strip_elapsed(second)
 
     outs = []
     for _ in range(2):

@@ -75,6 +75,12 @@ def test_conjugate_rep_examples():
         conjugate_rep(rho, Permutation.identity(4))
 
 
+def test_conjugate_rep_rejects_a_non_idempotent_action():
+    # a 3-cycle is no representation of {e, b}: b would not be idempotent
+    with pytest.raises(ValueError):
+        conjugate_rep(Representation(FiniteMap((2, 3, 1))), Permutation((2, 1, 3)))
+
+
 def test_check_representation():
     assert check_representation(rep_from_idempotent(Idempotent.identity(3)))
     assert check_representation(Representation(FiniteMap((1, 2, 1))))

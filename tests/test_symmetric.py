@@ -63,11 +63,25 @@ def test_unchecked_product_is_a_valid_permutation(perms):
     assert pq.forward == tuple(p(q(x)) for x in range(1, p.n + 1))
     assert (pq * r).forward == (p * (q * r)).forward
     assert (pq * r).backward == (p * (q * r)).backward
-    # a product carries only its forward table until the inverse is asked for
     assert (p * q).inverse() == checked.inverse()
     assert (p * q).inverse().backward == pq.forward
     pqrq = (pq * r) * (r * q)
     assert pqrq.backward == Permutation(pqrq.forward).backward
+
+
+def test_every_permutation_is_returned_with_both_tables():
+    p = Permutation((2, 3, 1))
+    built = (
+        p,
+        Permutation.identity(3),
+        Permutation.from_mapping(3, {1: 3, 2: 1, 3: 2}),
+        p.inverse(),
+        p * p,
+    )
+    for sigma in built:
+        # read the slot itself, so that nothing can fill it in on first use
+        backward = Permutation.backward.__get__(sigma)
+        assert tuple(sigma.forward[v - 1] for v in backward) == (1, 2, 3)
 
 
 def test_conjugation_sweep_matches_orbit_and_stabilizer_oracles():

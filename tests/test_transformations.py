@@ -4,6 +4,7 @@ from idempart import (
     FiniteMap,
     Idempotent,
     assemble_idempotent,
+    block_idempotent,
     compose,
     decompose_idempotent,
     enumerate_idempotents,
@@ -11,6 +12,7 @@ from idempart import (
     is_idempotent,
     type_vector_of,
 )
+from idempart.formula import type_terms
 
 IDEMPOTENT_COUNTS = {1: 1, 2: 3, 3: 10, 4: 41, 5: 196}
 
@@ -162,3 +164,11 @@ def test_type_vector_weight_invariant():
     for n in range(1, 8):
         for f in enumerate_idempotents(n):
             assert sum(k * gk for k, gk in type_vector_of(f)) == n
+
+
+def test_block_idempotent_has_the_type_it_is_built_from():
+    for n in range(1, 13):
+        for g, _, _ in type_terms(n):
+            assert type_vector_of(block_idempotent(g)) == g
+    # consecutive blocks, each rooted at its first point
+    assert block_idempotent(((1, 1), (2, 2))).values == (1, 2, 2, 4, 4)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idempart import (
+    block_idempotent,
     conjugate_idempotent,
     enumerate_idempotents,
     enumerate_permutations,
@@ -29,13 +30,13 @@ SHAPES = [
     (k, m)
     for k in range(1, 6)
     for m in range(1, 6)
-    if gu_order(eta_classes(verify._block_idempotent(k, m))[0]) <= 1296
+    if gu_order(eta_classes(block_idempotent(((k, m),)))[0]) <= 1296
 ]
 
 
 @functools.lru_cache(maxsize=None)
 def _elements(k, m):
-    return list(gu_enumerate(eta_classes(verify._block_idempotent(k, m))[0]))
+    return list(gu_enumerate(eta_classes(block_idempotent(((k, m),)))[0]))
 
 
 def _rho(z):
@@ -78,7 +79,7 @@ def test_table_product_and_inverse_match_permutation_objects(data):
 def test_induced_action_stabilizes_the_block_idempotent():
     # rho(z) is the stabilizing permutation that z stands for
     for k, m in ((1, 3), (2, 2), (3, 2), (4, 1)):
-        f = verify._block_idempotent(k, m)
+        f = block_idempotent(((k, m),))
         for z in _elements(k, m):
             sigma = _rho(z)
             assert conjugate_idempotent(f, sigma) == f
