@@ -20,7 +20,7 @@ import time
 from typing import Any
 
 from .combinatorics import RemainderError, exact_div, factorial, p_pentagonal
-from .formula import p_via_formula, total_idempotents, type_terms
+from .formula import _type_sum_by_size, p_via_formula, type_terms
 from .symmetric import (
     PERMUTATION_ENUM_LIMIT,
     _conjugation_sweep,
@@ -39,14 +39,15 @@ DEFAULT_VERIFY_EXHAUSTIVE = 5
 DEFAULT_VERIFY_FORMULA = 50
 
 # Accepted range of every integer argument, one row per command variant.
-# The p(n)-term enumerations (idempotents above the listing cap, types,
-# the formula levels of verify) share TYPES_CAP; the exhaustive routes
+# The size-by-size sums (pn --method formula, idempotents above the
+# listing cap) share PN_CAP; the p(n)-term enumerations (types, the
+# formula levels of verify) share TYPES_CAP; the exhaustive routes
 # conjugate by all n! permutations and share that enumeration's guard.
 _LIMITS = {
     "pn --method formula": {"n": (1, PN_CAP)},
     "pn --method pentagonal": {"n": (0, PN_CAP)},
     "pn --method burnside": {"n": (1, PERMUTATION_ENUM_LIMIT)},
-    "idempotents": {"n": (1, TYPES_CAP)},
+    "idempotents": {"n": (1, PN_CAP)},
     "idempotents --list": {"n": (1, LISTING_CAP)},
     "orbits": {"n": (1, PERMUTATION_ENUM_LIMIT)},
     "types": {"n": (1, TYPES_CAP)},
@@ -107,11 +108,17 @@ def _ms_since(start: float) -> float:
 
 
 def _type_key(n: int, g: tuple[tuple[int, int], ...]) -> str:
-    """The dense key (g(1),...,g(n)) of a sparse type vector."""
-    counts = [0] * n
+    """The dense key (g(1),...,g(n)) of a sparse type vector.
+
+    Each entry of g is written after the run of zeros for the sizes it
+    skips, so the key costs one string per entry, not one per size.
+    """
+    parts = []
+    last = 0
     for k, gk in g:
-        counts[k - 1] = gk
-    return "(" + ",".join(map(str, counts)) + ")"
+        parts.append("0," * (k - last - 1) + str(gk))
+        last = k
+    return "(" + ",".join(parts) + ",0" * (n - last) + ")"
 
 
 def cmd_pn(args: argparse.Namespace) -> int:
@@ -153,8 +160,8 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
         count = sum(1 for _ in enumerate_idempotents(n))
         method = "constructive"
     else:
-        count = total_idempotents(n)
-        method = "type-sum"
+        count = _type_sum_by_size(n, stabilizers=False)
+        method = "size-by-size"
     _emit(
         args.json,
         "idempotents",

@@ -129,7 +129,7 @@ def _type_sum(n: int) -> int:
     return sum(count * stab for _, count, stab in type_terms(n))
 
 
-def _type_sum_by_size(n: int) -> int:
+def _type_sum_by_size(n: int, stabilizers: bool = True) -> int:
     """The same sum as _type_sum(n), evaluated one fiber size at a time.
 
     Every factor a summand takes for fiber size k depends only on k, g(k)
@@ -141,23 +141,40 @@ def _type_sum_by_size(n: int) -> int:
     The pass for size k walks q = r - k*g, the points left to larger
     sizes, and then g.  With q fixed the nested product reads
     prod_{w=1..g} C(q + (k-1)*w, k-1), so each step g -> g+1 multiplies
-    it, (k-1)!^g and g! by one factor apiece; C(r, g) is taken afresh.
+    it, (k-1)!^g and g! by one factor apiece.  Every binomial is read from
+    the Pascal rows C(a, .), a <= n, built by additions once per call.
+    g = 0 adds s[q] * C(q, 0) = s[q], so each pass starts from a copy of s.
+    Of the pass for size 1 only cell n is read, so it is one sum over q.
+
+    With stabilizers=False the factors (k-1)!^g * g! are left out, and
+    the sum counts the idempotents on [n] instead of n! * p(n).
     """
+    rows = [[1]]
+    for _ in range(n):
+        prev = rows[-1]
+        rows.append([1, *map(int.__add__, prev, prev[1:]), 1])
     s = [1] + [0] * n
-    for k in range(n, 0, -1):
+    for k in range(n, 1, -1):
         fiber_perms = factorial(k - 1)
-        nxt = [0] * (n + 1)
-        for q in range(n + 1):
-            carried = s[q]  # (k-1)!^g * g! * nested product * s[q]
+        nxt = s[:]
+        for q in range(n - k + 1):
+            carried = s[q]  # [(k-1)!^g * g!] * nested product * s[q]
             if not carried:
                 continue
-            for g in range((n - q) // k + 1):
-                if g:
-                    carried *= fiber_perms * g * binomial(q + (k - 1) * g, k - 1)
-                r = q + k * g
-                nxt[r] += carried * binomial(r, g)
+            r = q
+            for g in range(1, (n - q) // k + 1):
+                r += k
+                carried *= rows[r - g][k - 1]  # C(q + (k-1)*g, k-1)
+                if stabilizers:
+                    carried *= fiber_perms * g
+                nxt[r] += carried * rows[r][g]
         s = nxt
-    return s[n]
+    # size 1 takes g = n - q: its nested binomials are C(q, 0) = 1,
+    # C(r, g) = C(n, q) and (k-1)!^g * g! = (n - q)!
+    return sum(
+        s[q] * rows[n][q] * (factorial(n - q) if stabilizers else 1)
+        for q in range(n + 1)
+    )
 
 
 def p_via_formula(n: int) -> int:

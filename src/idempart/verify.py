@@ -8,6 +8,7 @@ this harness; the test suite exercises the same identities.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from typing import Iterator, NamedTuple
@@ -319,6 +320,15 @@ def _check_formula_level(n: int) -> Iterator[CheckResult]:
         ok,
         f"term sum {total}, size-by-size sum {by_size}, n! * p(n) = {nfact * pn}, "
         f"{off_terms} summands != n!",
+    )
+    # Harris and Schoenfeld's closed form: choose the j-point image, then
+    # send each of the other n - j points to one of its j fixed points
+    idempotents = _type_sum_by_size(n, stabilizers=False)
+    closed = sum(math.comb(n, j) * j ** (n - j) for j in range(1, n + 1))
+    yield _result(
+        f"idempotent-count n={n}",
+        idempotents == closed,
+        f"size-by-size count {idempotents} != closed form {closed}",
     )
     if n <= 25:
         count = sum(1 for _ in enumerate_partitions(n))

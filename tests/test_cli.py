@@ -81,7 +81,7 @@ def test_pn_out_of_range_exits_2(capsys):
     capsys.readouterr()
     assert main(["idempotents", "0"]) == 2
     capsys.readouterr()
-    assert main(["idempotents", "61"]) == 2
+    assert main(["idempotents", "201"]) == 2
     capsys.readouterr()
 
 
@@ -112,15 +112,16 @@ def test_idempotents_counts(capsys):
 
 
 def test_idempotents_count_beyond_listing_cap(capsys):
-    code, out = run_cli(capsys, "idempotents", "12", "--json")
-    assert code == 0
-    rec = json_records(out)[-1]
-    assert rec["method"] == "type-sum"
     # image-size oracle: choose a k-point image, retract the rest onto it
     from math import comb
 
-    expected = sum(comb(12, k) * k ** (12 - k) for k in range(1, 13))
-    assert rec["count"] == str(expected)
+    for n in (12, 200):
+        code, out = run_cli(capsys, "idempotents", str(n), "--json")
+        assert code == 0
+        rec = json_records(out)[-1]
+        assert rec["method"] == "size-by-size"
+        expected = sum(comb(n, k) * k ** (n - k) for k in range(1, n + 1))
+        assert rec["count"] == str(expected)
 
 
 def test_idempotents_listing(capsys):
@@ -324,6 +325,19 @@ def test_internal_value_error_is_not_reported_as_bad_arguments(monkeypatch):
     monkeypatch.setattr(cli, "p_pentagonal", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["pn", "5", "--method", "pentagonal"])
+
+
+def _dense_key_by_list(n, g):
+    counts = [0] * n
+    for k, gk in g:
+        counts[k - 1] = gk
+    return "(" + ",".join(map(str, counts)) + ")"
+
+
+def test_type_key_matches_a_filled_dense_list():
+    for n in range(1, 21):
+        for g, _, _ in formula.type_terms(n):
+            assert cli._type_key(n, g) == _dense_key_by_list(n, g), (n, g)
 
 
 def plain_lines(capsys, *argv):

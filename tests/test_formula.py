@@ -131,6 +131,19 @@ def test_size_by_size_sum_is_factorial_times_partition_number():
         assert formula._type_sum_by_size(n) == factorial(n) * p_pentagonal(n)
 
 
+def test_count_only_sum_matches_the_type_walk():
+    for n in range(1, 31):
+        assert formula._type_sum_by_size(n, stabilizers=False) == total_idempotents(n)
+
+
+def test_count_only_sum_matches_the_closed_form():
+    from math import comb
+
+    for n in range(1, 61):
+        expected = sum(comb(n, j) * j ** (n - j) for j in range(1, n + 1))
+        assert formula._type_sum_by_size(n, stabilizers=False) == expected
+
+
 def test_p_via_formula_matches_sympy_partition():
     numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
     for n in (1, 2, 7, 25, 50, 99, 123, 150, 177, PN_CAP):
@@ -155,6 +168,36 @@ def test_formula_check_requires_every_summand_to_be_factorial(monkeypatch):
     assert first.name == "formula-pn n=3"
     assert not first.ok
     assert "2 summands != n!" in first.detail
+
+
+def test_idempotent_count_check_fails_on_a_dropped_nested_binomial(monkeypatch):
+    from idempart import verify
+
+    exact = verify._type_sum_by_size
+
+    def dropped(n, stabilizers=True):
+        if stabilizers:
+            return exact(n)
+        # the count-only sum rebuilt per (k, r, g) term, each term without
+        # its last nested binomial C(r - k*g + k - 1, k - 1); that one is 1
+        # unless a larger size is present, first for type (0, 1, 1) at n = 5
+        s = [1] + [0] * n
+        for k in range(n, 0, -1):
+            nxt = [0] * (n + 1)
+            for r in range(n + 1):
+                for g in range(r // k + 1):
+                    term = binomial(r, g)
+                    for v in range(1, g):
+                        term *= binomial(r - g - (v - 1) * (k - 1), k - 1)
+                    nxt[r] += term * s[r - k * g]
+            s = nxt
+        return s[n]
+
+    monkeypatch.setattr(verify, "_type_sum_by_size", dropped)
+    results = {r.name: r for r in verify._check_formula_level(6)}
+    assert not results["idempotent-count n=6"].ok
+    assert "!= closed form" in results["idempotent-count n=6"].detail
+    assert [name for name, r in results.items() if not r.ok] == ["idempotent-count n=6"]
 
 
 def test_p_via_formula_rejects_zero():
