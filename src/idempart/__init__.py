@@ -28,9 +28,7 @@ from .representations import (
     BWord,
     Representation,
     apply_rep,
-    check_representation,
     conjugate_rep,
-    reduce_word,
     rep_from_idempotent,
 )
 from .stabilizer import (

@@ -12,15 +12,13 @@ import enum
 from typing import NamedTuple
 
 from .symmetric import Permutation, conjugate_idempotent
-from .transformations import FiniteMap, Idempotent, is_idempotent
+from .transformations import FiniteMap, Idempotent
 
 __all__ = [
     "BWord",
     "Representation",
     "apply_rep",
-    "check_representation",
     "conjugate_rep",
-    "reduce_word",
     "rep_from_idempotent",
 ]
 
@@ -39,19 +37,12 @@ class BWord(enum.Enum):
         return BWord.GEN
 
 
-def reduce_word(letters: int) -> BWord:
-    """Class of the word x^letters under x = x^2: empty -> e, else b."""
-    if letters < 0:
-        raise ValueError(f"letter count must be nonnegative, got {letters}")
-    return BWord.IDENT if letters == 0 else BWord.GEN
-
-
 class Representation(NamedTuple):
     """A representation, stored as the action of the generator b.
 
     The identity's action is never stored; it is always id on [n].
-    action_of_b is kept as a plain FiniteMap so that candidate actions
-    can be checked for validity with check_representation.
+    action_of_b is a plain FiniteMap, so it can hold a candidate that
+    is not idempotent; conjugate_rep raises ValueError on one.
     """
 
     action_of_b: FiniteMap
@@ -70,6 +61,8 @@ def rep_from_idempotent(f: Idempotent) -> Representation:
 
 def apply_rep(rho: Representation, w: BWord, x: int) -> int:
     """Act on the point x by the image of the word w."""
+    if not isinstance(w, BWord):
+        raise TypeError(f"word must be a BWord, got {w!r}")
     if not 1 <= x <= rho.n:
         raise ValueError(f"point {x} outside [1..{rho.n}]")
     if w is BWord.IDENT:
@@ -84,8 +77,3 @@ def conjugate_rep(rho: Representation, sigma: Permutation) -> Representation:
     idempotent, i.e. rho is not a representation.
     """
     return Representation(conjugate_idempotent(rho.action_of_b, sigma))
-
-
-def check_representation(rho: Representation) -> bool:
-    """True iff the stored generator action is idempotent."""
-    return is_idempotent(rho.action_of_b)

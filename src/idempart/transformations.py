@@ -96,12 +96,10 @@ class Idempotent(FiniteMap):
 
     def __init__(self, values: Iterable[int]):
         super().__init__(values)
-        vals = self.values
-        for v in vals:
-            if vals[v - 1] != v:
-                raise ValueError(f"map {vals} is not idempotent")
+        if not is_idempotent(self):
+            raise ValueError(f"map {self.values} is not idempotent")
         buckets: dict[int, list[int]] = {}
-        for x, v in enumerate(vals, start=1):
+        for x, v in enumerate(self.values, start=1):
             buckets.setdefault(v, []).append(x)
         self.image = tuple(sorted(buckets))
         self.fibers = {x: tuple(buckets[x]) for x in self.image}

@@ -23,7 +23,7 @@ from .formula import (
     total_idempotents,
     type_terms,
 )
-from .representations import conjugate_rep, rep_from_idempotent
+from .representations import BWord, apply_rep, conjugate_rep, rep_from_idempotent
 from .stabilizer import (
     GUElement,
     eta_classes,
@@ -272,13 +272,25 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
         )
         yield _result(f"conjugator n={n}", ok, "conjugator postcondition failed")
 
+        # rho respects products of words, and sigma intertwines rho with
+        # sigma . rho; both read single points, not _conjugated's tables
+        points = range(1, n + 1)
+        reps = [rep_from_idempotent(f) for f in idems]
         ok = all(
-            conjugate_rep(rep_from_idempotent(f), sigma).action_of_b
-            == conjugate_idempotent(f, sigma)
-            for f in idems
+            apply_rep(rho, u * w, x) == apply_rep(rho, u, apply_rep(rho, w, x))
+            for rho in reps
+            for u in BWord
+            for w in BWord
+            for x in points
+        ) and all(
+            apply_rep(image, w, sigma(x)) == sigma(apply_rep(rho, w, x))
+            for rho in reps
             for sigma in perms
+            for image in [conjugate_rep(rho, sigma)]
+            for w in BWord
+            for x in points
         )
-        yield _result(f"equivariance n={n}", ok, "representation path disagrees")
+        yield _result(f"equivariance n={n}", ok, "representation law fails")
 
         ok = True
         for f in idems:

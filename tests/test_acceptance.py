@@ -10,7 +10,9 @@ import time
 from collections import Counter
 
 from idempart import (
+    BWord,
     Permutation,
+    apply_rep,
     block_idempotent,
     conjugate_idempotent,
     conjugate_rep,
@@ -187,11 +189,13 @@ def test_criterion_7_equivariance():
         for f in enumerate_idempotents(n):
             rho = rep_from_idempotent(f)
             for sigma in perms:
-                assert (
-                    conjugate_rep(rho, sigma).action_of_b
-                    == conjugate_idempotent(f, sigma)
-                ), (f.values, sigma.forward)
-    report(7, True, "conjugate-then-extract == extract-then-conjugate, n = 1..4")
+                image = conjugate_rep(rho, sigma)
+                for w in BWord:
+                    for x in range(1, n + 1):
+                        assert apply_rep(image, w, sigma(x)) == sigma(
+                            apply_rep(rho, w, x)
+                        ), (f.values, sigma.forward, w, x)
+    report(7, True, "sigma intertwines rho with its conjugate, n = 1..4")
 
 
 def test_criterion_8_cumulative_identity():

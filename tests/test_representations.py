@@ -9,31 +9,19 @@ from idempart import (
     Permutation,
     Representation,
     apply_rep,
-    check_representation,
-    conjugate_idempotent,
     conjugate_rep,
     enumerate_idempotents,
     enumerate_permutations,
-    reduce_word,
     rep_from_idempotent,
 )
 
 
-def test_reduce_word():
-    assert reduce_word(0) is BWord.IDENT
-    assert reduce_word(1) is BWord.GEN
-    assert reduce_word(17) is BWord.GEN
-    with pytest.raises(ValueError):
-        reduce_word(-1)
-
-
 def test_bword_multiplication():
-    # the quotient relation: concatenation reduces by letter count
-    for a in range(4):
-        for b in range(4):
-            assert reduce_word(a) * reduce_word(b) == reduce_word(a + b)
-    assert BWord.IDENT * BWord.IDENT is BWord.IDENT
-    assert BWord.GEN * BWord.GEN is BWord.GEN
+    e, b = BWord.IDENT, BWord.GEN
+    assert e * e is e
+    assert e * b is b
+    assert b * e is b
+    assert b * b is b
 
 
 def test_rep_from_idempotent():
@@ -58,6 +46,8 @@ def test_apply_rep():
     assert apply_rep(rho, BWord.GEN, 3) == 1
     with pytest.raises(ValueError):
         apply_rep(rho, BWord.GEN, 4)
+    with pytest.raises(TypeError):
+        apply_rep(rho, "e", 3)  # a string is no word, though it names e
 
 
 def test_conjugate_rep_examples():
@@ -81,21 +71,18 @@ def test_conjugate_rep_rejects_a_non_idempotent_action():
         conjugate_rep(Representation(FiniteMap((2, 3, 1))), Permutation((2, 1, 3)))
 
 
-def test_check_representation():
-    assert check_representation(rep_from_idempotent(Idempotent.identity(3)))
-    assert check_representation(Representation(FiniteMap((1, 2, 1))))
-    assert not check_representation(Representation(FiniteMap((2, 3, 1))))
-
-
 def test_idempotent_map_correspondence_is_equivariant(idems_by_n, perms_by_n):
+    # sigma is an isomorphism from rho onto its conjugate, point by point
     for n in range(1, 5):
         for f in idems_by_n[n]:
             rho = rep_from_idempotent(f)
             for sigma in perms_by_n[n]:
-                assert (
-                    conjugate_rep(rho, sigma).action_of_b
-                    == conjugate_idempotent(f, sigma)
-                )
+                image = conjugate_rep(rho, sigma)
+                for w in BWord:
+                    for x in range(1, n + 1):
+                        assert apply_rep(image, w, sigma(x)) == sigma(
+                            apply_rep(rho, w, x)
+                        )
 
 
 def test_correspondence_is_bijective():

@@ -11,6 +11,7 @@ from idempart import (
     enumerate_idempotents,
     enumerate_permutations,
     gamma_hom,
+    symmetric,
     verify,
 )
 from idempart.stabilizer import (
@@ -168,6 +169,17 @@ def test_orbit_oracle_fails_on_a_wrong_conjugator(monkeypatch):
     monkeypatch.setattr(verify, "_conjugation_sweep", sweep)
     assert "stabilizer-order" in _failed(4)
     assert swapped
+
+
+def test_equivariance_fails_on_conjugation_from_the_wrong_side(monkeypatch):
+    def wrong_side(values, sigma):
+        # sigma^-1 . f . sigma; S_1 and S_2 hold only involutions, where
+        # both sides agree, so the first levels that can tell are 3 and 4
+        return _conjugated(values, sigma.inverse())
+
+    monkeypatch.setattr(symmetric, "_conjugated", wrong_side)
+    assert "equivariance" in _failed(3)
+    assert "equivariance" in _failed(4)
 
 
 def test_exhaustive_level_7_passes():
