@@ -274,6 +274,49 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _n_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("n", type=int)
+
+
+def _pn_arguments(p: argparse.ArgumentParser) -> None:
+    _n_arguments(p)
+    p.add_argument(
+        "--method",
+        choices=("formula", "pentagonal", "burnside"),
+        default="formula",
+        help="computation route (default: formula)",
+    )
+
+
+def _idempotents_arguments(p: argparse.ArgumentParser) -> None:
+    _n_arguments(p)
+    p.add_argument("--list", action="store_true", help="print every map with its type")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--exhaustive", type=int, default=DEFAULT_VERIFY_EXHAUSTIVE)
+    p.add_argument("--formula", type=int, default=DEFAULT_VERIFY_FORMULA)
+
+
+# Every command's help text and arguments, defined once for both the
+# one-command parser of main and the full parser of build_parser; each
+# command runs cmd_<name>.
+_COMMANDS = {
+    "pn": ("compute the partition number p(n)", _pn_arguments),
+    "idempotents": ("count (or list) idempotent self-maps", _idempotents_arguments),
+    "orbits": ("conjugation orbits with stabilizer orders", _n_arguments),
+    "types": ("weight-n type vectors with counts and orders", _n_arguments),
+    "verify": ("run the full identity cross-check harness", _verify_arguments),
+}
+
+
+def _add_command(p: argparse.ArgumentParser, name: str) -> None:
+    _COMMANDS[name][1](p)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    # looked up now, so that a patched or traced cmd_<name> takes effect
+    p.set_defaults(command=name, func=globals()[f"cmd_{name}"])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="idempart",
@@ -283,45 +326,30 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pn", help="compute the partition number p(n)")
-    p.add_argument("n", type=int)
-    p.add_argument(
-        "--method",
-        choices=("formula", "pentagonal", "burnside"),
-        default="formula",
-        help="computation route (default: formula)",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_pn)
-
-    p = sub.add_parser("idempotents", help="count (or list) idempotent self-maps")
-    p.add_argument("n", type=int)
-    p.add_argument("--list", action="store_true", help="print every map with its type")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_idempotents)
-
-    p = sub.add_parser("orbits", help="conjugation orbits with stabilizer orders")
-    p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_orbits)
-
-    p = sub.add_parser("types", help="weight-n type vectors with counts and orders")
-    p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_types)
-
-    p = sub.add_parser("verify", help="run the full identity cross-check harness")
-    p.add_argument("--exhaustive", type=int, default=DEFAULT_VERIFY_EXHAUSTIVE)
-    p.add_argument("--formula", type=int, default=DEFAULT_VERIFY_FORMULA)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_verify)
-
+    for name, (help_text, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of argv, building only the named command's parser.
+
+    The parser add_parser would make for that command parses the rest
+    of argv alone.  Leftover arguments, and an argv that does not start
+    with a command, go to the full parser, whose errors and help name
+    every command.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"idempart {argv[0]}")
+        _add_command(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     problem = _limit_error(args)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)

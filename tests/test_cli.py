@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -429,3 +430,93 @@ def test_unknown_command_exits_2():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def _reference_main(argv):
+    """main on the full five-command parser: parse, check limits, run."""
+    args = cli.build_parser().parse_args(argv)
+    problem = cli._limit_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
+    return args.func(args)
+
+
+def _outcome(capsys, call, *args):
+    """Exit code, stdout and stderr of call(*args), elapsed_ms masked."""
+    try:
+        code = call(*args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    masked = [
+        re.sub(r'elapsed_ms("?[=:])[-0-9.e]+', r"elapsed_ms\1*", text)
+        for text in (captured.out, captured.err)
+    ]
+    return code, *masked
+
+
+def _two_checks(exhaustive, formula):
+    yield CheckResult(f"first e={exhaustive}", True)
+    yield CheckResult(f"second f={formula}", True, "detail")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pn", "5", "--json"],
+        ["pn", "7", "--meth=pentagonal"],
+        ["pn", "5", "--method", "burnside", "--js"],
+        ["pn", "201"],
+        ["idempotents", "3", "--list", "--js"],
+        ["idempotents", "12"],
+        ["orbits", "3", "--json"],
+        ["types", "4"],
+        ["verify", "--exhaustive", "2", "--formula", "4", "--json"],
+        ["verify", "--exh", "9"],
+        [],
+        ["-h"],
+        ["pn", "-h"],
+        ["pn"],
+        ["pn", "x"],
+        ["pn", "5", "extra"],
+        ["pn", "5", "--method", "nope"],
+        ["bogus", "3"],
+        ["--json", "pn", "5"],
+    ],
+    ids=" ".join,
+)
+def test_main_matches_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "run_verification", _two_checks)
+    expected = _outcome(capsys, _reference_main, argv)
+    assert _outcome(capsys, main, argv) == expected
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    for argv in (["pn", "5", "--json"], ["pn", "5", "extra"], ["-h"]):
+        monkeypatch.setattr(sys, "argv", ["idempart", *argv])
+        assert _outcome(capsys, main) == _outcome(capsys, _reference_main, argv)
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "run_verification", _two_checks)
+    for argv in (
+        ["pn", "5", "--json"],
+        ["verify", "--exhaustive", "1", "--formula", "1", "--json"],
+    ):
+        built.clear()
+        assert main(argv) == 0
+        assert built == [f"idempart {argv[0]}"]
+    capsys.readouterr()
+
+
+def test_every_command_has_limits_and_every_limits_row_a_command():
+    assert {row.split()[0] for row in cli._LIMITS} == set(cli._COMMANDS)
