@@ -3,9 +3,11 @@
 A permutation s sends the idempotent f to s . f . s^-1.  Conjugation
 preserves fiber sizes, so the induced partition of [n] is an orbit
 invariant; it is in fact a complete invariant, and this module builds
-the witnessing conjugator explicitly.  Exhaustive orbit and stabilizer
-oracles enumerate all n! permutations, so they accept n <= 8 only, and
-back the closed-form counts elsewhere in the package.
+the witnessing conjugator explicitly.  The exhaustive oracles enumerate
+all n! permutations, so they accept n <= 8 only, and back the
+closed-form counts elsewhere in the package.  The Burnside count and
+verify share one stabilizer tally, which conjugates one representative
+per orbit by all of them and carries its stabilizer to the orbit.
 """
 
 from __future__ import annotations
@@ -212,18 +214,61 @@ def stabilizer_bruteforce(f: Idempotent) -> tuple[Permutation, ...]:
     )
 
 
-def _stab_count(values: tuple[int, ...], perms: Sequence[Permutation]) -> int:
-    return sum(1 for sigma in perms if _conjugated(values, sigma) == values)
+def _orbit_stats(idems, perms):
+    """Per-idempotent stabilizer count and orbit key, orbit by orbit.
+
+    Each idempotent r that no earlier orbit holds is conjugated by every
+    permutation: that gives its orbit, a conjugator s_f for each member
+    f, and Stab(r).  The count of f is the number of distinct
+    s_f.sigma.s_f^-1, sigma in Stab(r), checked to fix f, or 0 if s_f
+    does not carry r onto f.  When it does, Stab(f) = s_f.Stab(r).s_f^-1,
+    so the count is |Stab(f)|.  The key of f is its orbit's
+    representative r.  The flag says whether the orbits are disjoint
+    and cover the enumerated idempotents, each once.
+    """
+    key_of = {}
+    count_of = {}
+    disjoint = True
+    for f in idems:
+        rep = f.values
+        if rep in key_of:
+            continue
+        conjugators, stab = _conjugation_sweep(rep, perms)
+        for member, s in conjugators.items():
+            disjoint &= member not in key_of
+            key_of[member] = rep
+            if _conjugated(rep, s) != member:
+                count_of[member] = 0
+                continue
+            # t = s.sigma.s^-1 is built as a forward table; t.f.t^-1 = f
+            # iff t.f = f.t, so the fix test needs no inverse of t
+            fwd_s = s.forward
+            inv_s = s.backward
+            fixing = set()
+            for sigma in stab:
+                fwd_sigma = sigma.forward
+                fwd = tuple([fwd_s[fwd_sigma[v - 1] - 1] for v in inv_s])
+                if [fwd[v - 1] for v in member] == [member[v - 1] for v in fwd]:
+                    fixing.add(fwd)
+            count_of[member] = len(fixing)
+    values = [f.values for f in idems]
+    enumerated = set(values)
+    partition = (
+        disjoint and len(enumerated) == len(values) and key_of.keys() == enumerated
+    )
+    counts = [count_of.get(v, 0) for v in values]
+    return counts, [key_of.get(v) for v in values], partition
 
 
 def count_orbits_burnside(n: int) -> int:
     """Number of conjugation orbits of idempotents on [n], exhaustively.
 
-    Sums brute-force stabilizer sizes over all idempotents and divides
-    by n!; the division must be exact, a remainder would mean a bug.
+    Sums |Stab(f)| over all idempotents f, read from the orbit-by-orbit
+    tally, and divides by n!; the division must be exact, a remainder
+    would mean a bug.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     perms = list(enumerate_permutations(n))
-    total = sum(_stab_count(f.values, perms) for f in enumerate_idempotents(n))
-    return exact_div(total, factorial(n))
+    counts, _, _ = _orbit_stats(list(enumerate_idempotents(n)), perms)
+    return exact_div(sum(counts), factorial(n))

@@ -20,7 +20,6 @@ from .formula import (
     cumulative_identity,
     summand,
     summand_direct,
-    total_idempotents,
     type_terms,
 )
 from .representations import BWord, apply_rep, conjugate_rep, rep_from_idempotent
@@ -38,12 +37,12 @@ from .stabilizer import (
 from .symmetric import (
     PERMUTATION_ENUM_LIMIT,
     Permutation,
-    _conjugated,
-    _conjugation_sweep,
+    _orbit_stats,
     conjugate_idempotent,
     conjugator,
     enumerate_permutations,
     same_orbit,
+    stabilizer_bruteforce,
 )
 from .transformations import (
     BRUTE_FORCE_MAP_LIMIT,
@@ -72,52 +71,6 @@ class CheckResult(NamedTuple):
 
 def _result(name: str, ok: bool, detail_fail: str) -> CheckResult:
     return CheckResult(name, ok, "" if ok else detail_fail)
-
-
-def _orbit_stats(idems, perms):
-    """Per-idempotent stabilizer count and orbit key, orbit by orbit.
-
-    Each idempotent r that no earlier orbit holds is conjugated by every
-    permutation: that gives its orbit, a conjugator s_f for each member
-    f, and Stab(r).  The count of f is the number of distinct
-    s_f.sigma.s_f^-1, sigma in Stab(r), checked to fix f, or 0 if s_f
-    does not carry r onto f.  When it does, Stab(f) = s_f.Stab(r).s_f^-1,
-    so the count is |Stab(f)|.  The key of f is its orbit's
-    representative r.  The flag says whether the orbits are disjoint
-    and cover the enumerated idempotents, each once.
-    """
-    key_of = {}
-    count_of = {}
-    disjoint = True
-    for f in idems:
-        rep = f.values
-        if rep in key_of:
-            continue
-        conjugators, stab = _conjugation_sweep(rep, perms)
-        for member, s in conjugators.items():
-            disjoint &= member not in key_of
-            key_of[member] = rep
-            if _conjugated(rep, s) != member:
-                count_of[member] = 0
-                continue
-            # t = s.sigma.s^-1 is built as a forward table; t.f.t^-1 = f
-            # iff t.f = f.t, so the fix test needs no inverse of t
-            fwd_s = s.forward
-            inv_s = s.backward
-            fixing = set()
-            for sigma in stab:
-                fwd_sigma = sigma.forward
-                fwd = tuple([fwd_s[fwd_sigma[v - 1] - 1] for v in inv_s])
-                if [fwd[v - 1] for v in member] == [member[v - 1] for v in fwd]:
-                    fixing.add(fwd)
-            count_of[member] = len(fixing)
-    values = [f.values for f in idems]
-    enumerated = set(values)
-    partition = (
-        disjoint and len(enumerated) == len(values) and key_of.keys() == enumerated
-    )
-    counts = [count_of.get(v, 0) for v in values]
-    return counts, [key_of.get(v) for v in values], partition
 
 
 def _induced_permutation(z: GUElement) -> tuple[int, ...]:
@@ -242,10 +195,12 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
     # the walk's carried count and the per-type product must both match
     # the tally; equal totals then leave no tallied type outside the walk
     tally = Counter(type_vector_of(f) for f in idems)
-    ok = all(
-        tally.get(g, 0) == count == count_idempotents_of_type(n, g)
-        for g, count, _ in type_terms(n)
-    ) and sum(tally.values()) == total_idempotents(n)
+    ok = True
+    walked = 0
+    for g, count, _ in type_terms(n):
+        ok &= tally.get(g, 0) == count == count_idempotents_of_type(n, g)
+        walked += count
+    ok &= sum(tally.values()) == walked
     yield _result(f"type-count n={n}", ok, "per-type count != tally")
 
     total_stab = sum(stab_counts)
@@ -294,14 +249,12 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
 
         ok = True
         for f in idems:
-            stab = [s for s in perms if _conjugated(f.values, s) == f.values]
+            stab = stabilizer_bruteforce(f)
             for cls in eta_classes(f):
                 ident = gu_identity(cls)
                 if gamma_hom(Permutation.identity(n), f, cls) != ident:
                     ok = False
-                images = {}
-                for s in stab:
-                    images[s] = gamma_hom(s, f, cls)
+                images = {s: gamma_hom(s, f, cls) for s in stab}
                 for s in stab:
                     if gu_inverse(images[s]) != images[s.inverse()]:
                         ok = False

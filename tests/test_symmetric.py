@@ -277,7 +277,7 @@ def test_orbit_stabilizer_product(idems_by_n):
 
 
 def test_burnside_counts():
-    assert [count_orbits_burnside(n) for n in range(1, 6)] == [1, 2, 3, 5, 7]
+    assert [count_orbits_burnside(n) for n in range(1, 8)] == [1, 2, 3, 5, 7, 11, 15]
 
 
 def test_burnside_n3_sum_is_18(idems_by_n):

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,8 @@ from idempart import (
     symmetric,
     verify,
 )
+from idempart.cli import main
+from idempart.combinatorics import RemainderError
 from idempart.stabilizer import (
     GUElement,
     _element,
@@ -118,7 +121,7 @@ def test_orbit_by_orbit_oracle_matches_the_full_sweep():
     for n in range(1, 7):
         idems = list(enumerate_idempotents(n))
         perms = list(enumerate_permutations(n))
-        counts, keys, partition = verify._orbit_stats(idems, perms)
+        counts, keys, partition = symmetric._orbit_stats(idems, perms)
         old_counts, old_keys = _full_sweep(idems, perms)
         assert partition
         assert counts == old_counts
@@ -147,8 +150,13 @@ def test_orbit_oracle_fails_on_a_repeated_idempotent(monkeypatch):
     assert "orbit-count" in _failed(4)
 
 
-def test_orbit_oracle_fails_on_a_wrong_conjugator(monkeypatch):
-    exact = verify._conjugation_sweep
+def _swap_two_conjugators(monkeypatch):
+    """Make symmetric._conjugation_sweep hand out one wrong conjugator pair.
+
+    Returns the list that records the swapped pair once the patched sweep
+    has swapped it; clearing the list lets the next sweep swap again.
+    """
+    exact = symmetric._conjugation_sweep
     swapped = []
 
     def sweep(values, perms):
@@ -166,9 +174,26 @@ def test_orbit_oracle_fails_on_a_wrong_conjugator(monkeypatch):
             swapped.append(pair)
         return conjugators, stab
 
-    monkeypatch.setattr(verify, "_conjugation_sweep", sweep)
+    monkeypatch.setattr(symmetric, "_conjugation_sweep", sweep)
+    return swapped
+
+
+def test_orbit_oracle_fails_on_a_wrong_conjugator(monkeypatch):
+    swapped = _swap_two_conjugators(monkeypatch)
     assert "stabilizer-order" in _failed(4)
     assert swapped
+
+
+def test_burnside_count_fails_on_a_wrong_conjugator(monkeypatch, capsys):
+    # both swapped members have |Stab| = 2 and now count 0: 4! * 5 - 2 - 2
+    swapped = _swap_two_conjugators(monkeypatch)
+    with pytest.raises(RemainderError, match="116 is not divisible by 24"):
+        symmetric.count_orbits_burnside(4)
+    assert swapped
+    swapped.clear()
+    assert main(["pn", "4", "--method", "burnside"]) == 1
+    assert swapped
+    assert "116 is not divisible by 24" in capsys.readouterr().err
 
 
 def test_equivariance_fails_on_conjugation_from_the_wrong_side(monkeypatch):
