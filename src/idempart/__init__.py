@@ -7,63 +7,76 @@ idempotents and their (image, retraction) structure, the conjugation
 action with explicit orbits, stabilizers and their per-fiber-size
 factor groups, the resulting closed-form product formula for p(n), and
 brute-force oracles cross-checking every identity at small n.
+
+Each name of __all__ is read from its submodule on first access
+(PEP 562), so importing the package, or one submodule through it, loads
+no other layer.
 """
 
-from .combinatorics import (
-    binomial,
-    enumerate_partitions,
-    exact_div,
-    factorial,
-    p_pentagonal,
-)
-from .formula import (
-    count_idempotents_of_type,
-    cumulative_identity,
-    p_via_formula,
-    summand,
-    summand_direct,
-    total_idempotents,
-)
-from .representations import (
-    BWord,
-    Representation,
-    apply_rep,
-    conjugate_rep,
-    rep_from_idempotent,
-)
-from .stabilizer import (
-    FiberClass,
-    GUElement,
-    eta_classes,
-    gamma_hom,
-    gu_enumerate,
-    gu_identity,
-    gu_inverse,
-    gu_multiply,
-    gu_order,
-    stabilizer_order_formula,
-)
-from .symmetric import (
-    Permutation,
-    conjugate_idempotent,
-    conjugator,
-    count_orbits_burnside,
-    enumerate_permutations,
-    orbit_of,
-    same_orbit,
-    stabilizer_bruteforce,
-)
-from .transformations import (
-    FiniteMap,
-    Idempotent,
-    assemble_idempotent,
-    block_idempotent,
-    compose,
-    decompose_idempotent,
-    enumerate_idempotents,
-    enumerate_idempotents_bruteforce,
-    is_idempotent,
-    type_vector_of,
-)
+# every re-exported name -> the submodule that defines it
+_HOME = {
+    "binomial": "combinatorics",
+    "enumerate_partitions": "combinatorics",
+    "exact_div": "combinatorics",
+    "factorial": "combinatorics",
+    "p_pentagonal": "combinatorics",
+    "count_idempotents_of_type": "formula",
+    "cumulative_identity": "formula",
+    "p_via_formula": "formula",
+    "summand": "formula",
+    "summand_direct": "formula",
+    "total_idempotents": "formula",
+    "BWord": "representations",
+    "Representation": "representations",
+    "apply_rep": "representations",
+    "conjugate_rep": "representations",
+    "rep_from_idempotent": "representations",
+    "FiberClass": "stabilizer",
+    "GUElement": "stabilizer",
+    "eta_classes": "stabilizer",
+    "gamma_hom": "stabilizer",
+    "gu_enumerate": "stabilizer",
+    "gu_identity": "stabilizer",
+    "gu_inverse": "stabilizer",
+    "gu_multiply": "stabilizer",
+    "gu_order": "stabilizer",
+    "stabilizer_order_formula": "formula",
+    "Permutation": "symmetric",
+    "conjugate_idempotent": "symmetric",
+    "conjugator": "symmetric",
+    "count_orbits_burnside": "symmetric",
+    "enumerate_permutations": "symmetric",
+    "orbit_of": "symmetric",
+    "same_orbit": "symmetric",
+    "stabilizer_bruteforce": "symmetric",
+    "FiniteMap": "transformations",
+    "Idempotent": "transformations",
+    "assemble_idempotent": "transformations",
+    "block_idempotent": "transformations",
+    "compose": "transformations",
+    "decompose_idempotent": "transformations",
+    "enumerate_idempotents": "transformations",
+    "enumerate_idempotents_bruteforce": "transformations",
+    "is_idempotent": "transformations",
+    "type_vector_of": "transformations",
+}
+
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    import importlib
+
+    # the submodules that define the names are package attributes too,
+    # as they were when the package imported them all
+    if name in _HOME.values():
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_HOME.values()})

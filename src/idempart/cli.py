@@ -7,28 +7,27 @@ Every integer argument is checked against one limits table before the
 command runs.  Exit codes: 0 success, 1 an identity failed, 2 an
 argument outside the table.  Any other error inside a command is a bug
 and propagates as a traceback instead of being reported as a bad
-argument.
+argument.  Each command imports the layers it runs when it runs, so
+`pn --method formula|pentagonal` and the size-by-size `idempotents`
+count never load the group layer.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import signal
 import sys
 import time
 from typing import Any
 
-from .combinatorics import RemainderError, exact_div, factorial, p_pentagonal
-from .formula import _type_sum_by_size, p_via_formula, type_terms
-from .symmetric import (
+from .combinatorics import (
     PERMUTATION_ENUM_LIMIT,
-    _conjugation_sweep,
-    count_orbits_burnside,
-    enumerate_permutations,
+    RemainderError,
+    exact_div,
+    factorial,
+    p_pentagonal,
 )
-from .transformations import block_idempotent, enumerate_idempotents, type_vector_of
-from .verify import run_verification
+from .formula import _type_sum_by_size, p_via_formula, type_terms
 
 __all__ = ["main", "run"]
 
@@ -122,13 +121,14 @@ def _type_key(n: int, g: tuple[tuple[int, int], ...]) -> str:
 
 
 def cmd_pn(args: argparse.Namespace) -> int:
+    # Looked up per call, so that a patched or traced name takes effect.
+    # A command imports the layers beyond combinatorics and formula
+    # before its clock starts, so elapsed_ms does not time the import.
+    if args.method == "burnside":
+        from .symmetric import count_orbits_burnside as route
+    else:
+        route = {"formula": p_via_formula, "pentagonal": p_pentagonal}[args.method]
     start = time.perf_counter()
-    # built per call, so that a patched or traced module name takes effect
-    route = {
-        "formula": p_via_formula,
-        "pentagonal": p_pentagonal,
-        "burnside": count_orbits_burnside,
-    }[args.method]
     value = route(args.n)
     _emit(
         args.json,
@@ -143,6 +143,8 @@ def cmd_pn(args: argparse.Namespace) -> int:
 
 def cmd_idempotents(args: argparse.Namespace) -> int:
     n = args.n
+    if args.list or n <= LISTING_CAP:
+        from .transformations import enumerate_idempotents, type_vector_of
     start = time.perf_counter()
     if args.list:
         count = 0
@@ -174,6 +176,9 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
+    from .symmetric import _conjugation_sweep, enumerate_permutations
+    from .transformations import block_idempotent
+
     n = args.n
     start = time.perf_counter()
     nfact = factorial(n)
@@ -241,6 +246,8 @@ def cmd_types(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_verification
+
     start = time.perf_counter()
     failures = []
     checks = 0
@@ -362,6 +369,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    import signal
+
     # a reader that quits early (`idempart types 30 | head`) ends the
     # process quietly, as for any filter, not with a BrokenPipeError
     if hasattr(signal, "SIGPIPE"):

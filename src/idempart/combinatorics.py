@@ -5,6 +5,8 @@ and the pentagonal-number recurrence for the partition function p(n).
 Everything is exact integer arithmetic; nothing here ever rounds or
 overflows.  A fiber-size type vector is a plain sparse tuple
 ((k, g(k)), ...) with k ascending; formula.type_terms builds them.
+PERMUTATION_ENUM_LIMIT lives here, not in symmetric, so that the CLI's
+limits table reads it without loading the group layer.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ __all__ = [
     "factorial",
     "p_pentagonal",
 ]
+
+# Largest n whose n! permutations symmetric.enumerate_permutations lists;
+# every exhaustive route stops there.
+PERMUTATION_ENUM_LIMIT = 8
 
 
 def factorial(n: int) -> int:

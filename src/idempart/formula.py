@@ -15,12 +15,12 @@ from __future__ import annotations
 from typing import Iterator
 
 from .combinatorics import binomial, exact_div, factorial, p_pentagonal
-from .stabilizer import stabilizer_order_formula
 
 __all__ = [
     "count_idempotents_of_type",
     "cumulative_identity",
     "p_via_formula",
+    "stabilizer_order_formula",
     "summand",
     "summand_direct",
     "total_idempotents",
@@ -46,6 +46,18 @@ def count_idempotents_of_type(n: int, g: tuple[tuple[int, int], ...]) -> int:
         for v in range(1, gk + 1):
             total *= binomial(remaining - gk - (v - 1) * (k - 1), k - 1)
         consumed += k * gk
+    return total
+
+
+def stabilizer_order_formula(g: tuple[tuple[int, int], ...]) -> int:
+    """Stabilizer size from the sparse type vector ((k, g(k)), ...).
+
+    The product is prod (k-1)!^g(k) * g(k)! over the sizes k in g: the
+    orders of the per-class factor groups of the stabilizer module.
+    """
+    total = 1
+    for k, gk in g:
+        total *= factorial(k - 1) ** gk * factorial(gk)
     return total
 
 

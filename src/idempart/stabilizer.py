@@ -9,6 +9,7 @@ U itself.  Those pairs form a group of order ((k-1)!)^|U| * |U|!, and
 multiplying the orders over all classes recovers the stabilizer size,
 which depends only on the fiber-size type vector, the sparse tuple
 ((k, g(k)), ...) of sizes k with g(k) > 0, ascending in k.
+formula.stabilizer_order_formula computes it from that vector alone.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "gu_inverse",
     "gu_multiply",
     "gu_order",
-    "stabilizer_order_formula",
 ]
 
 GU_ENUM_LIMIT = 100_000
@@ -238,14 +238,3 @@ def gamma_hom(sigma: Permutation, f: Idempotent, cls: FiberClass) -> GUElement:
         dst_pos = {y: j for j, y in enumerate(dst, start=1)}
         blocks.append([dst_pos[sigma(y)] for y in src])
     return GUElement(cls, blocks, outer)
-
-
-def stabilizer_order_formula(g: tuple[tuple[int, int], ...]) -> int:
-    """Stabilizer size from the sparse type vector ((k, g(k)), ...).
-
-    The product is prod (k-1)!^g(k) * g(k)! over the sizes k in g.
-    """
-    total = 1
-    for k, gk in g:
-        total *= factorial(k - 1) ** gk * factorial(gk)
-    return total

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .combinatorics import exact_div, factorial
+from .combinatorics import PERMUTATION_ENUM_LIMIT, exact_div, factorial
 from .transformations import (
     FiniteMap,
     Idempotent,
@@ -33,8 +33,6 @@ __all__ = [
     "same_orbit",
     "stabilizer_bruteforce",
 ]
-
-PERMUTATION_ENUM_LIMIT = 8
 
 
 class Permutation:

@@ -13,11 +13,17 @@ import random
 from collections import Counter
 from typing import Iterator, NamedTuple
 
-from .combinatorics import enumerate_partitions, factorial, p_pentagonal
+from .combinatorics import (
+    PERMUTATION_ENUM_LIMIT,
+    enumerate_partitions,
+    factorial,
+    p_pentagonal,
+)
 from .formula import (
     _type_sum_by_size,
     count_idempotents_of_type,
     cumulative_identity,
+    stabilizer_order_formula,
     summand,
     summand_direct,
     type_terms,
@@ -32,10 +38,8 @@ from .stabilizer import (
     gu_inverse,
     gu_multiply,
     gu_order,
-    stabilizer_order_formula,
 )
 from .symmetric import (
-    PERMUTATION_ENUM_LIMIT,
     Permutation,
     _orbit_stats,
     conjugate_idempotent,

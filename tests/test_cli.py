@@ -201,7 +201,7 @@ def test_every_check_record_carries_its_time(capsys, monkeypatch):
         time.sleep(0.02)
         yield CheckResult("second", True)
 
-    monkeypatch.setattr(cli, "run_verification", two_checks)
+    monkeypatch.setattr(verify, "run_verification", two_checks)
     code, out = run_cli(capsys, "verify", "--json")
     assert code == 0
     first, second, summary = json_records(out)
@@ -367,7 +367,7 @@ def test_plain_output_format(capsys):
 
 def test_verify_failure_is_reported_and_exits_1(capsys, monkeypatch):
     failing = CheckResult("formula-pn n=1", False, "term sum 0")
-    monkeypatch.setattr(cli, "run_verification", lambda e, f: iter([failing]))
+    monkeypatch.setattr(verify, "run_verification", lambda e, f: iter([failing]))
     code, out = run_cli(capsys, "verify", "--exhaustive", "1", "--formula", "1")
     assert code == 1
     assert re.sub(r"elapsed_ms=\S+", "elapsed_ms=*", out).splitlines() == [
@@ -403,6 +403,58 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p"] == "11"
+
+
+GROUP_LAYER = {
+    "idempart.stabilizer",
+    "idempart.symmetric",
+    "idempart.transformations",
+    "idempart.representations",
+    "idempart.verify",
+}
+
+# runs main on each argv of sys.argv[1] in one fresh interpreter; the last
+# stdout line lists the exit codes and the idempart modules then loaded
+_LOADED_AFTER_MAIN = """
+import json, sys
+from idempart.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m.startswith("idempart."))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def _loaded_after_main(*argvs):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_MAIN, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *out, last = proc.stdout.splitlines()
+    result = json.loads(last)
+    return result["codes"], set(result["loaded"]), out
+
+
+def test_pn_and_the_size_by_size_count_load_no_group_layer():
+    codes, loaded, out = _loaded_after_main(
+        ["pn", "48", "--json"],
+        ["pn", "48", "--method", "pentagonal"],
+        ["idempotents", "12"],
+    )
+    assert codes == [0, 0, 0]
+    assert json.loads(out[0])["p"] == "147273"
+    assert "count=157329097  method=size-by-size" in out[2]
+    assert not loaded & GROUP_LAYER, sorted(loaded)
+
+
+def test_verify_still_loads_and_passes_the_group_layer():
+    codes, loaded, out = _loaded_after_main(
+        ["verify", "--exhaustive", "1", "--formula", "1"]
+    )
+    assert codes == [0]
+    assert "failures=0" in out[-1]
+    assert GROUP_LAYER <= loaded, sorted(loaded)
 
 
 def test_closed_pipe_ends_quietly():
@@ -487,7 +539,7 @@ def _two_checks(exhaustive, formula):
     ids=" ".join,
 )
 def test_main_matches_the_full_parser(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli, "run_verification", _two_checks)
+    monkeypatch.setattr(verify, "run_verification", _two_checks)
     expected = _outcome(capsys, _reference_main, argv)
     assert _outcome(capsys, main, argv) == expected
 
@@ -507,7 +559,7 @@ def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    monkeypatch.setattr(cli, "run_verification", _two_checks)
+    monkeypatch.setattr(verify, "run_verification", _two_checks)
     for argv in (
         ["pn", "5", "--json"],
         ["verify", "--exhaustive", "1", "--formula", "1", "--json"],

@@ -18,8 +18,7 @@ from idempart import (
     type_vector_of,
 )
 from idempart.cli import PN_CAP
-from idempart.formula import type_terms
-from idempart.stabilizer import stabilizer_order_formula
+from idempart.formula import stabilizer_order_formula, type_terms
 
 
 def test_count_examples_n3():

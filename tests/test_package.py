@@ -1,0 +1,104 @@
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import idempart
+
+# every name the package re-exports, in order, with the submodule defining it
+EXPORTS = [
+    ("binomial", "combinatorics"),
+    ("enumerate_partitions", "combinatorics"),
+    ("exact_div", "combinatorics"),
+    ("factorial", "combinatorics"),
+    ("p_pentagonal", "combinatorics"),
+    ("count_idempotents_of_type", "formula"),
+    ("cumulative_identity", "formula"),
+    ("p_via_formula", "formula"),
+    ("summand", "formula"),
+    ("summand_direct", "formula"),
+    ("total_idempotents", "formula"),
+    ("BWord", "representations"),
+    ("Representation", "representations"),
+    ("apply_rep", "representations"),
+    ("conjugate_rep", "representations"),
+    ("rep_from_idempotent", "representations"),
+    ("FiberClass", "stabilizer"),
+    ("GUElement", "stabilizer"),
+    ("eta_classes", "stabilizer"),
+    ("gamma_hom", "stabilizer"),
+    ("gu_enumerate", "stabilizer"),
+    ("gu_identity", "stabilizer"),
+    ("gu_inverse", "stabilizer"),
+    ("gu_multiply", "stabilizer"),
+    ("gu_order", "stabilizer"),
+    ("stabilizer_order_formula", "formula"),
+    ("Permutation", "symmetric"),
+    ("conjugate_idempotent", "symmetric"),
+    ("conjugator", "symmetric"),
+    ("count_orbits_burnside", "symmetric"),
+    ("enumerate_permutations", "symmetric"),
+    ("orbit_of", "symmetric"),
+    ("same_orbit", "symmetric"),
+    ("stabilizer_bruteforce", "symmetric"),
+    ("FiniteMap", "transformations"),
+    ("Idempotent", "transformations"),
+    ("assemble_idempotent", "transformations"),
+    ("block_idempotent", "transformations"),
+    ("compose", "transformations"),
+    ("decompose_idempotent", "transformations"),
+    ("enumerate_idempotents", "transformations"),
+    ("enumerate_idempotents_bruteforce", "transformations"),
+    ("is_idempotent", "transformations"),
+    ("type_vector_of", "transformations"),
+]
+NAMES = [name for name, _ in EXPORTS]
+SUBMODULES = sorted({module for _, module in EXPORTS})
+
+
+def test_all_lists_every_re_exported_name():
+    assert idempart.__all__ == NAMES
+
+
+@pytest.mark.parametrize("name, home", EXPORTS)
+def test_each_name_is_its_submodule_object(name, home):
+    module = importlib.import_module(f"idempart.{home}")
+    assert getattr(idempart, name) is getattr(module, name)
+    # one home: no other submodule lists the name in its __all__
+    exported_by = [m for m in SUBMODULES if name in getattr(idempart, m).__all__]
+    assert exported_by == [home]
+    assert name in dir(idempart)
+
+
+def test_star_import_binds_exactly_the_re_exported_names():
+    namespace = {}
+    exec("from idempart import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(NAMES)
+    assert all(namespace[name] is getattr(idempart, name) for name in NAMES)
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        idempart.no_such_name
+
+
+def test_the_package_loads_a_submodule_only_when_asked():
+    script = (
+        "import sys, idempart\n"
+        "assert not [m for m in sys.modules if m.startswith('idempart.')]\n"
+        "assert idempart.symmetric.Permutation is idempart.Permutation\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('idempart.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    # symmetric imports combinatorics and transformations, and nothing else
+    assert proc.stdout.split() == [
+        "idempart.combinatorics",
+        "idempart.symmetric",
+        "idempart.transformations",
+    ]
+    assert set(SUBMODULES) <= set(dir(idempart))
