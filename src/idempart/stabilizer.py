@@ -5,11 +5,14 @@ permutation must permute U and carry fibers onto fibers, so per class it
 is captured by a pair: a U-indexed tuple of permutations of a reference
 fiber (the representative's fiber minus its root, all blocks expressed
 through fixed order-preserving bijections) twisted by a permutation of
-U itself.  Those pairs form a group of order ((k-1)!)^|U| * |U|!, and
-multiplying the orders over all classes recovers the stabilizer size,
-which depends only on the fiber-size type vector, the sparse tuple
-((k, g(k)), ...) of sizes k with g(k) > 0, ascending in k.
-formula.stabilizer_order_formula computes it from that vector alone.
+U itself.  Those pairs form a group of order ((k-1)!)^|U| * |U|!.  An
+element keeps its |U| blocks end to end in one flat table of |U|*(k-1)
+entries, block i at offset i*(k-1), so a product builds one tuple for
+the blocks and one for the twist.  Multiplying the group orders over
+all classes recovers the stabilizer size, which depends only on the
+fiber-size type vector, the sparse tuple ((k, g(k)), ...) of sizes k
+with g(k) > 0, ascending in k.  formula.stabilizer_order_formula
+computes it from that vector alone.
 """
 
 from __future__ import annotations
@@ -75,15 +78,18 @@ def _is_bijection(table: tuple[int, ...], n: int) -> bool:
 class GUElement:
     """One element of the class group: per-member blocks plus a twist.
 
-    blocks[i] is the forward table of a bijection of positions 1..k-1
-    of the reference fiber (blocks[i][j-1] is the image of j) and is
-    attached to members[i]; outer is the forward table of a bijection
-    of positions 1..|U| of the member list.  For fiber size 1 every
-    block is the empty table.  Two elements are equal when their
-    classes and tables are.
+    table holds the blocks of all members end to end: with d = k-1, the
+    block attached to members[i] is table[i*d:(i+1)*d], the forward
+    table of a bijection of positions 1..d of the reference fiber
+    (table[i*d + j-1] is the image of j).  outer is the forward table
+    of a bijection of positions 1..|U| of the member list.  For fiber
+    size 1 the table is empty.  The constructor takes the blocks one by
+    one and checks them; blocks gives them back as slices of the table.
+    Two elements are equal when their classes, tables and outer parts
+    are.
     """
 
-    __slots__ = ("fiber_class", "blocks", "outer")
+    __slots__ = ("fiber_class", "table", "outer")
 
     def __init__(
         self,
@@ -102,7 +108,7 @@ class GUElement:
         if not _is_bijection(outer, m):
             raise ValueError(f"outer must be a bijection of 1..{m}")
         self.fiber_class = fiber_class
-        self.blocks = blocks
+        self.table = sum(blocks, ())
         self.outer = outer
 
     def __eq__(self, other: object) -> bool:
@@ -110,15 +116,22 @@ class GUElement:
             return NotImplemented
         return (
             self.outer == other.outer
-            and self.blocks == other.blocks
+            and self.table == other.table
             and self.fiber_class == other.fiber_class
         )
 
     def __hash__(self) -> int:
-        return hash((self.blocks, self.outer))
+        return hash((self.table, self.outer))
 
     def __repr__(self) -> str:
         return f"GUElement({self.fiber_class!r}, {self.blocks!r}, {self.outer!r})"
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The per-member blocks, in member order."""
+        d = self.fiber_class.fiber_size - 1
+        table = self.table
+        return tuple([table[i * d : i * d + d] for i in range(len(self.outer))])
 
     def block_of(self, u: int) -> tuple[int, ...]:
         """Block attached to the image point u."""
@@ -126,14 +139,14 @@ class GUElement:
 
 
 def _element(
-    cls: FiberClass, blocks: tuple[tuple[int, ...], ...], outer: tuple[int, ...]
+    cls: FiberClass, table: tuple[int, ...], outer: tuple[int, ...]
 ) -> GUElement:
-    # GUElement without the constructor's table checks, for products,
-    # inverses and enumeration: those have |U| bijections of 1..k-1 and
-    # a bijection of 1..|U| by construction
+    # GUElement without the constructor's checks, for products, inverses
+    # and enumeration: those have a flat table of |U| bijections of
+    # 1..k-1 and a bijection of 1..|U| by construction
     z = object.__new__(GUElement)
     z.fiber_class = cls
-    z.blocks = blocks
+    z.table = table
     z.outer = outer
     return z
 
@@ -165,44 +178,51 @@ def gu_multiply(z1: GUElement, z2: GUElement) -> GUElement:
     The block at position i of the product is z1's block at position
     outer2(i) composed after z2's block at i; the outer parts compose
     directly.  Composition p after q has the table [p[v-1] for v in q].
+    On the flat tables, with d = k-1, the product's entry at index p is
+    z1.table[(outer2[p // d] - 1)*d + z2.table[p] - 1].
     """
     cls = z1.fiber_class
     if cls is not z2.fiber_class and cls != z2.fiber_class:
         raise ValueError("elements belong to different classes")
-    blocks1 = z1.blocks
+    d = cls.fiber_size - 1
+    table1 = z1.table
     outer1 = z1.outer
     outer2 = z2.outer
-    blocks = tuple(
-        [
-            tuple([blocks1[j - 1][v - 1] for v in b2])
-            for j, b2 in zip(outer2, z2.blocks)
-        ]
+    table = tuple(
+        [table1[(outer2[p // d] - 1) * d + v - 1] for p, v in enumerate(z2.table)]
     )
-    return _element(cls, blocks, tuple([outer1[v - 1] for v in outer2]))
+    return _element(cls, table, tuple([outer1[v - 1] for v in outer2]))
 
 
 def gu_inverse(z: GUElement) -> GUElement:
     """Inverse: invert the outer part, pull back and invert each block."""
     outer_inv = _inverse_table(z.outer)
-    blocks = z.blocks
-    inverted = tuple([_inverse_table(blocks[j - 1]) for j in outer_inv])
-    return _element(z.fiber_class, inverted, outer_inv)
+    d = z.fiber_class.fiber_size - 1
+    table = z.table
+    inverted: list[int] = []
+    for j in outer_inv:
+        inverted += _inverse_table(table[(j - 1) * d : j * d])
+    return _element(z.fiber_class, tuple(inverted), outer_inv)
 
 
 def gu_enumerate(cls: FiberClass) -> Iterator[GUElement]:
     """Every element of the class group exactly once, deterministically.
 
     Outer parts run in lexicographic order of their tables, and for each
-    the block tuples in lexicographic order.
+    the block tuples in lexicographic order, which is the lexicographic
+    order of the flat tables.
     """
     order = gu_order(cls)
     if order > GU_ENUM_LIMIT:
         raise ValueError(f"class group of order {order} exceeds {GU_ENUM_LIMIT}")
     m = len(cls.members)
     base = list(itertools.permutations(range(1, cls.fiber_size)))
+    # the flat tables are shared by all outer parts; for |U| = 1 each is
+    # the block itself
+    tables = [sum(blocks, ()) for blocks in itertools.product(base, repeat=m)]
     for outer in itertools.permutations(range(1, m + 1)):
-        for blocks in itertools.product(base, repeat=m):
-            yield _element(cls, blocks, outer)
+        for table in tables:
+            yield _element(cls, table, outer)
 
 
 def _check_class_of(f: Idempotent, cls: FiberClass) -> None:

@@ -86,11 +86,13 @@ def _induced_permutation(z: GUElement) -> tuple[int, ...]:
     faithful also for k = 1, where every block is empty.
     """
     k = z.fiber_class.fiber_size
+    d = k - 1
+    table = z.table
     image = []
-    for target, block in zip(z.outer, z.blocks):
+    for i, target in enumerate(z.outer):
         root = (target - 1) * k + 1
         image.append(root)
-        image.extend([root + v for v in block])
+        image.extend([root + v for v in table[i * d : i * d + d]])
     return tuple(image)
 
 

@@ -190,6 +190,59 @@ def test_gu_block_of_accessor():
     assert z.block_of(cls.members[1]) == (2, 1)
 
 
+def test_gu_table_holds_the_blocks_end_to_end():
+    for k, m in ((1, 3), (2, 3), (3, 2), (4, 2), (5, 1)):
+        cls = single_class(block_idempotent(k, m))
+        d = k - 1
+        for z in gu_enumerate(cls):
+            assert len(z.table) == m * d
+            for i, u in enumerate(cls.members):
+                assert z.table[i * d : (i + 1) * d] == z.blocks[i] == z.block_of(u)
+
+
+def test_gu_blocks_round_trip_through_the_constructor():
+    cls = single_class(block_idempotent(4, 2))
+    blocks = ((3, 1, 2), (2, 3, 1))
+    z = GUElement(cls, [list(b) for b in blocks], (2, 1))
+    assert z.table == (3, 1, 2, 2, 3, 1)
+    assert z.blocks == blocks
+    assert GUElement(cls, z.blocks, z.outer) == z
+
+
+def test_gu_table_of_fiber_size_one_is_empty():
+    cls = single_class(Idempotent.identity(3))
+    z = GUElement(cls, ((),) * 3, (3, 1, 2))
+    assert z.table == ()
+    assert z.blocks == ((),) * 3
+    assert all(y.table == () for y in gu_enumerate(cls))
+    assert gu_multiply(z, z).table == gu_inverse(z).table == ()
+
+
+def test_gu_hash_and_equality_run_over_table_outer_and_class():
+    cls = single_class(block_idempotent(3, 2))
+    z = GUElement(cls, ((2, 1), (1, 2)), (2, 1))
+    key = (z.table, z.outer)
+    twin = next(y for y in gu_enumerate(cls) if (y.table, y.outer) == key)
+    assert twin is not z
+    assert twin == z and hash(twin) == hash(z)
+    assert GUElement(cls, ((1, 2), (2, 1)), (2, 1)) != z
+    assert GUElement(cls, ((2, 1), (1, 2)), (1, 2)) != z
+    other = cls._replace(members=tuple(u + 100 for u in cls.members))
+    assert GUElement(other, z.blocks, z.outer) != z
+
+
+def test_gu_enumerate_runs_outer_then_blocks_lexicographically():
+    for k, m in ((1, 3), (2, 2), (3, 2), (3, 3), (4, 2)):
+        cls = single_class(block_idempotent(k, m))
+        base = list(itertools.permutations(range(1, k)))
+        reference = [
+            (blocks, outer)
+            for outer in itertools.permutations(range(1, m + 1))
+            for blocks in itertools.product(base, repeat=m)
+        ]
+        assert [(z.blocks, z.outer) for z in gu_enumerate(cls)] == reference
+
+
 # ------------------------------------------------------------- gamma hom
 
 

@@ -243,12 +243,13 @@ def _patched_product(monkeypatch, k, m, replace):
 
 def test_gu_axioms_check_fails_on_a_product_outside_the_group(monkeypatch):
     k, m = 3, 2
-    # blocks on k points instead of k - 1: no element of the class
+    # a flat table of |U| segments on k points instead of k - 1: no
+    # element of the class
     _patched_product(
         monkeypatch,
         k,
         m,
-        lambda z: _element(z.fiber_class, (tuple(range(1, k + 1)),) * m, z.outer),
+        lambda z: _element(z.fiber_class, tuple(range(1, k + 1)) * m, z.outer),
     )
     result = verify._check_gu_shape(k, m, random.Random(0))
     assert not result.ok
