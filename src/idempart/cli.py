@@ -10,6 +10,15 @@ and propagates as a traceback instead of being reported as a bad
 argument.  Each command imports the layers it runs when it runs, so
 `pn --method formula|pentagonal` and the size-by-size `idempotents`
 count never load the group layer.
+
+One grammar table, _COMMANDS, gives every command's arguments to two
+readers.  A plainly spelled command line (the command, its option
+strings in full, numbers in ASCII digits) is read from the table
+directly, without building an argparse parser, whose first use in a
+process costs more than `pn 48` itself.  Every other spelling, help
+included, goes to the full argparse parser built from the same table,
+which alone prints usage and errors; for a plain command line both
+readers give the same Namespace.
 """
 
 from __future__ import annotations
@@ -281,47 +290,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _n_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("n", type=int)
-
-
-def _pn_arguments(p: argparse.ArgumentParser) -> None:
-    _n_arguments(p)
-    p.add_argument(
-        "--method",
-        choices=("formula", "pentagonal", "burnside"),
-        default="formula",
-        help="computation route (default: formula)",
-    )
-
-
-def _idempotents_arguments(p: argparse.ArgumentParser) -> None:
-    _n_arguments(p)
-    p.add_argument("--list", action="store_true", help="print every map with its type")
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--exhaustive", type=int, default=DEFAULT_VERIFY_EXHAUSTIVE)
-    p.add_argument("--formula", type=int, default=DEFAULT_VERIFY_FORMULA)
-
-
-# Every command's help text and arguments, defined once for both the
-# one-command parser of main and the full parser of build_parser; each
-# command runs cmd_<name>.
+# One grammar table for both parse paths: each command's help text,
+# whether it takes the positional n, and each option as (string, kind,
+# default, help), where kind is bool for a flag, int, or a tuple of
+# choices.  build_parser adds every argparse argument from it and _plain
+# reads it without argparse; each command runs cmd_<name>.
+_JSON_OPTION = ("--json", bool, False, "machine-readable output")
 _COMMANDS = {
-    "pn": ("compute the partition number p(n)", _pn_arguments),
-    "idempotents": ("count (or list) idempotent self-maps", _idempotents_arguments),
-    "orbits": ("conjugation orbits with stabilizer orders", _n_arguments),
-    "types": ("weight-n type vectors with counts and orders", _n_arguments),
-    "verify": ("run the full identity cross-check harness", _verify_arguments),
+    "pn": (
+        "compute the partition number p(n)",
+        True,
+        (
+            (
+                "--method",
+                ("formula", "pentagonal", "burnside"),
+                "formula",
+                "computation route (default: formula)",
+            ),
+            _JSON_OPTION,
+        ),
+    ),
+    "idempotents": (
+        "count (or list) idempotent self-maps",
+        True,
+        (("--list", bool, False, "print every map with its type"), _JSON_OPTION),
+    ),
+    "orbits": ("conjugation orbits with stabilizer orders", True, (_JSON_OPTION,)),
+    "types": ("weight-n type vectors with counts and orders", True, (_JSON_OPTION,)),
+    "verify": (
+        "run the full identity cross-check harness",
+        False,
+        (
+            ("--exhaustive", int, DEFAULT_VERIFY_EXHAUSTIVE, None),
+            ("--formula", int, DEFAULT_VERIFY_FORMULA, None),
+            _JSON_OPTION,
+        ),
+    ),
 }
-
-
-def _add_command(p: argparse.ArgumentParser, name: str) -> None:
-    _COMMANDS[name][1](p)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    # looked up now, so that a patched or traced cmd_<name> takes effect
-    p.set_defaults(command=name, func=globals()[f"cmd_{name}"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,26 +338,74 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, takes_n, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if takes_n:
+            p.add_argument("n", type=int)
+        for option, kind, default, option_help in options:
+            if kind is bool:
+                how: dict[str, Any] = {"action": "store_true"}
+            elif kind is int:
+                how = {"type": int}
+            else:
+                how = {"choices": kind}
+            p.add_argument(option, default=default, help=option_help, **how)
+        # looked up now, so that a patched or traced cmd_<name> takes effect
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The arguments of argv, building only the named command's parser.
+def _plain(argv: list[str]) -> argparse.Namespace | None:
+    """build_parser()'s Namespace for a plainly spelled argv, else None.
 
-    The parser add_parser would make for that command parses the rest
-    of argv alone.  Leftover arguments, and an argv that does not start
-    with a command, go to the full parser, whose errors and help name
-    every command.
+    Plain means a command, then only that command's option strings in
+    full and without "=", each valued option followed by one of its
+    choices or by ASCII digits, and the positional n, if the command
+    takes one, exactly once as ASCII digits; a repeated option keeps its
+    last value, as in argparse.  Every other argv (help, "--", an
+    abbreviation, a sign, an underscore, non-ASCII digits, a missing or
+    extra word) gives None and is left to argparse.
     """
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"idempart {argv[0]}")
-        _add_command(parser, argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    name = argv[0]
+    _, takes_n, options = _COMMANDS[name]
+    kinds = {}
+    values: dict[str, Any] = {"command": name, "func": globals()[f"cmd_{name}"]}
+    for option, kind, default, _ in options:
+        kinds[option] = kind
+        values[option.lstrip("-")] = default
+    words = iter(argv[1:])
+    for word in words:
+        if word in kinds:
+            dest, kind = word.lstrip("-"), kinds[word]
+            value = True if kind is bool else next(words, "")
+        elif takes_n and "n" not in values:
+            dest, kind, value = "n", int, word
+        else:
+            return None
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() converts
+                return None
+        elif kind is not bool and value not in kind:
+            return None
+        values[dest] = value
+    if takes_n and "n" not in values:
+        return None
+    return argparse.Namespace(**values)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of argv: read plainly, or else by the full parser.
+
+    Only argparse prints help and errors, so every argv that _plain
+    leaves alone gets exactly the full parser's result.
+    """
+    return _plain(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -163,12 +163,17 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
     pn = p_pentagonal(n)
 
     if n <= BRUTE_FORCE_MAP_LIMIT:
-        brute = set(enumerate_idempotents_bruteforce(n))
-        yield _result(
+        # value tuples, not maps: an Idempotent hashes and compares by its
+        # values, so this is the same test, and the oracle's maps and the
+        # set are freed before the level's other checks run
+        brute = {f.values for f in enumerate_idempotents_bruteforce(n)}
+        result = _result(
             f"idempotent-enumeration n={n}",
-            set(idems) == brute and len(idems) == len(brute),
+            {f.values for f in idems} == brute and len(idems) == len(brute),
             f"constructive {len(idems)} vs brute {len(brute)}",
         )
+        del brute
+        yield result
 
     stab_counts, orbit_keys, partition = _orbit_stats(idems, perms)
 

@@ -532,11 +532,24 @@ def _two_checks(exhaustive, formula):
         ["pn"],
         ["pn", "x"],
         ["pn", "5", "extra"],
+        ["pn", "5", "5"],
         ["pn", "5", "--method", "nope"],
         ["bogus", "3"],
         ["--json", "pn", "5"],
+        ["pn", "\u0661\u0662"],
+        ["pn", "1_0"],
+        ["pn", "+5"],
+        ["pn", "-5"],
+        ["pn", "--json", "5"],
+        ["pn", "5", "--method=formula"],
+        ["pn", "5", "--method", "formula", "--method", "pentagonal"],
+        ["pn", "5", "--json", "--json"],
+        ["pn", "--", "5"],
+        ["verify", "--formula", "12", "--exhaustive", "3"],
+        ["idempotents", "3", "--list", "--list"],
+        ["pn", "9" * 5000],
     ],
-    ids=" ".join,
+    ids=lambda argv: " ".join(argv)[:60],
 )
 def test_main_matches_the_full_parser(capsys, monkeypatch, argv):
     monkeypatch.setattr(verify, "run_verification", _two_checks)
@@ -550,7 +563,73 @@ def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
         assert _outcome(capsys, main) == _outcome(capsys, _reference_main, argv)
 
 
-def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+_DIGITS = st.sampled_from(["0", "1", "3", "12", "48"])
+
+
+def _argv_words():
+    """Commands, every option string in full, abbreviated and with =value,
+    choice values, and numbers that int() reads but are not ASCII digits."""
+    words = {"--", "-h", "", "0", "12", "+5", "-5", "1_0", "\u0661\u0662", "\uff15"}
+    for name, (_, _, options) in cli._COMMANDS.items():
+        words.add(name)
+        for option, kind, _, _ in options:
+            words |= {option, option[:4], f"{option}=3", f"{option}=formula"}
+            if isinstance(kind, tuple):
+                words |= set(kind)
+    return sorted(words)
+
+
+_WORDS = st.sampled_from(_argv_words())
+
+
+@st.composite
+def _argvs(draw):
+    """A plainly spelled argv after up to three edits, each of which puts
+    a word of _WORDS in, takes a word out, or replaces one."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, takes_n, options = cli._COMMANDS[name]
+    pieces = [[draw(_DIGITS)]] if takes_n else []
+    for option, kind, _, _ in draw(st.lists(st.sampled_from(options), max_size=3)):
+        if kind is bool:
+            pieces.append([option])
+        else:
+            value = _DIGITS if kind is int else st.sampled_from(kind)
+            if not draw(st.integers(0, 3)):  # one value in four may be wrong
+                value = _WORDS
+            pieces.append([option, draw(value)])
+    argv = [name, *(word for piece in draw(st.permutations(pieces)) for word in piece)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        argv[i : i + draw(st.integers(0, 1))] = draw(st.lists(_WORDS, max_size=1))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_plain_reading_is_the_full_parsers_or_none(argv):
+    plain = cli._plain(argv)
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            expected = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        assert plain is None
+    else:
+        assert plain is None or vars(plain) == vars(expected)
+
+
+# runs main(["pn", "48", "--json"]) in a fresh interpreter and prints the
+# modules it added to those loaded before the call
+_NEW_MODULES_OF_MAIN = """
+import json, sys
+from idempart.cli import main
+before = set(sys.modules)
+code = main(["pn", "48", "--json"])
+print(json.dumps({"code": code, "new": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_plain_argv_builds_no_parser(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -564,10 +643,22 @@ def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
         ["pn", "5", "--json"],
         ["verify", "--exhaustive", "1", "--formula", "1", "--json"],
     ):
-        built.clear()
         assert main(argv) == 0
-        assert built == [f"idempart {argv[0]}"]
+        assert built == []
+    # an abbreviation is left to the full parser with all five commands
+    assert main(["pn", "7", "--meth=pentagonal"]) == 0
+    assert built == ["idempart", *(f"idempart {name}" for name in cli._COMMANDS)]
     capsys.readouterr()
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES_OF_MAIN],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert "locale" not in result["new"], result["new"]
 
 
 def test_every_command_has_limits_and_every_limits_row_a_command():
