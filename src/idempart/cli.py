@@ -8,8 +8,8 @@ command runs.  Exit codes: 0 success, 1 an identity failed, 2 an
 argument outside the table.  Any other error inside a command is a bug
 and propagates as a traceback instead of being reported as a bad
 argument.  Each command imports the layers it runs when it runs, so
-`pn --method formula|pentagonal` and the size-by-size `idempotents`
-count never load the group layer.
+`pn --method formula|pentagonal` and `idempotents` without --list,
+which counts size by size, never load the group layer.
 
 One grammar table, _COMMANDS, gives every command's arguments to two
 readers.  A plainly spelled command line (the command, its option
@@ -47,10 +47,11 @@ DEFAULT_VERIFY_EXHAUSTIVE = 5
 DEFAULT_VERIFY_FORMULA = 50
 
 # Accepted range of every integer argument, one row per command variant.
-# The size-by-size sums (pn --method formula, idempotents above the
-# listing cap) share PN_CAP; the p(n)-term enumerations (types, the
-# formula levels of verify) share TYPES_CAP; the exhaustive routes
-# conjugate by all n! permutations and share that enumeration's guard.
+# The size-by-size sums (pn --method formula, idempotents without
+# --list) share PN_CAP; LISTING_CAP bounds only the printed listing; the
+# p(n)-term enumerations (types, the formula levels of verify) share
+# TYPES_CAP; the exhaustive routes conjugate by all n! permutations and
+# share that enumeration's guard.
 _LIMITS = {
     "pn --method formula": {"n": (1, PN_CAP)},
     "pn --method pentagonal": {"n": (0, PN_CAP)},
@@ -152,7 +153,7 @@ def cmd_pn(args: argparse.Namespace) -> int:
 
 def cmd_idempotents(args: argparse.Namespace) -> int:
     n = args.n
-    if args.list or n <= LISTING_CAP:
+    if args.list:
         from .transformations import enumerate_idempotents, type_vector_of
     start = time.perf_counter()
     if args.list:
@@ -166,9 +167,6 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
                 values=[str(v) for v in f.values],
                 type=_type_key(n, type_vector_of(f)),
             )
-        method = "constructive"
-    elif n <= LISTING_CAP:
-        count = sum(1 for _ in enumerate_idempotents(n))
         method = "constructive"
     else:
         count = _type_sum_by_size(n, stabilizers=False)

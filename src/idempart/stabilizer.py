@@ -6,13 +6,13 @@ is captured by a pair: a U-indexed tuple of permutations of a reference
 fiber (the representative's fiber minus its root, all blocks expressed
 through fixed order-preserving bijections) twisted by a permutation of
 U itself.  Those pairs form a group of order ((k-1)!)^|U| * |U|!.  An
-element keeps its |U| blocks end to end in one flat table of |U|*(k-1)
-entries, block i at offset i*(k-1), so a product builds one tuple for
-the blocks and one for the twist.  Multiplying the group orders over
-all classes recovers the stabilizer size, which depends only on the
-fiber-size type vector, the sparse tuple ((k, g(k)), ...) of sizes k
-with g(k) > 0, ascending in k.  formula.stabilizer_order_formula
-computes it from that vector alone.
+element is built from, stored as and read back through one flat table
+of its |U| blocks end to end, block i at offset i*(k-1), so a product
+builds one tuple for the blocks and one for the twist.  Multiplying
+the group orders over all classes recovers the stabilizer size, which
+depends only on the fiber-size type vector, the sparse tuple
+((k, g(k)), ...) of sizes k with g(k) > 0, ascending in k.
+formula.stabilizer_order_formula computes it from that vector alone.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ class GUElement:
     table of a bijection of positions 1..d of the reference fiber
     (table[i*d + j-1] is the image of j).  outer is the forward table
     of a bijection of positions 1..|U| of the member list.  For fiber
-    size 1 the table is empty.  The constructor takes the blocks one by
-    one and checks them; blocks gives them back as slices of the table.
-    Two elements are equal when their classes, tables and outer parts
-    are.
+    size 1 the table is empty.  The constructor checks the table's
+    length, each of its blocks and the outer part; block_of reads one
+    block back as a slice.  Two elements are equal when their classes,
+    tables and outer parts are.
     """
 
     __slots__ = ("fiber_class", "table", "outer")
@@ -94,21 +94,21 @@ class GUElement:
     def __init__(
         self,
         fiber_class: FiberClass,
-        blocks: Iterable[Iterable[int]],
+        table: Iterable[int],
         outer: Iterable[int],
     ) -> None:
         m = len(fiber_class.members)
-        k = fiber_class.fiber_size
-        blocks = tuple(tuple(b) for b in blocks)
+        d = fiber_class.fiber_size - 1
+        table = tuple(table)
         outer = tuple(outer)
-        if len(blocks) != m:
-            raise ValueError(f"need {m} blocks, got {len(blocks)}")
-        if not all(_is_bijection(b, k - 1) for b in blocks):
-            raise ValueError(f"blocks must be bijections of 1..{k - 1}")
+        if len(table) != m * d:
+            raise ValueError(f"need a table of {m * d} entries, got {len(table)}")
+        if not all(_is_bijection(table[i * d : i * d + d], d) for i in range(m)):
+            raise ValueError(f"blocks must be bijections of 1..{d}")
         if not _is_bijection(outer, m):
             raise ValueError(f"outer must be a bijection of 1..{m}")
         self.fiber_class = fiber_class
-        self.table = sum(blocks, ())
+        self.table = table
         self.outer = outer
 
     def __eq__(self, other: object) -> bool:
@@ -124,18 +124,13 @@ class GUElement:
         return hash((self.table, self.outer))
 
     def __repr__(self) -> str:
-        return f"GUElement({self.fiber_class!r}, {self.blocks!r}, {self.outer!r})"
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The per-member blocks, in member order."""
-        d = self.fiber_class.fiber_size - 1
-        table = self.table
-        return tuple([table[i * d : i * d + d] for i in range(len(self.outer))])
+        return f"GUElement({self.fiber_class!r}, {self.table!r}, {self.outer!r})"
 
     def block_of(self, u: int) -> tuple[int, ...]:
         """Block attached to the image point u."""
-        return self.blocks[self.fiber_class.members.index(u)]
+        d = self.fiber_class.fiber_size - 1
+        i = self.fiber_class.members.index(u)
+        return self.table[i * d : i * d + d]
 
 
 def _element(
@@ -168,8 +163,7 @@ def gu_order(cls: FiberClass) -> int:
 def gu_identity(cls: FiberClass) -> GUElement:
     """Identity element: all blocks trivial, outer trivial."""
     m = len(cls.members)
-    e_block = tuple(range(1, cls.fiber_size))
-    return GUElement(cls, (e_block,) * m, range(1, m + 1))
+    return GUElement(cls, tuple(range(1, cls.fiber_size)) * m, range(1, m + 1))
 
 
 def gu_multiply(z1: GUElement, z2: GUElement) -> GUElement:
@@ -250,11 +244,11 @@ def gamma_hom(sigma: Permutation, f: Idempotent, cls: FiberClass) -> GUElement:
     members = cls.members
     pos = {u: i for i, u in enumerate(members, start=1)}
     outer = [pos[sigma(u)] for u in members]
-    blocks = []
+    table: list[int] = []
     for u in members:
         src = [y for y in f.fibers[u] if y != u]
         dst_root = sigma(u)
         dst = [y for y in f.fibers[dst_root] if y != dst_root]
         dst_pos = {y: j for j, y in enumerate(dst, start=1)}
-        blocks.append([dst_pos[sigma(y)] for y in src])
-    return GUElement(cls, blocks, outer)
+        table += [dst_pos[sigma(y)] for y in src]
+    return GUElement(cls, table, outer)

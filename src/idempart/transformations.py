@@ -124,14 +124,17 @@ def assemble_idempotent(
 ) -> Idempotent:
     """Rebuild the idempotent fixing `image` and retracting the rest.
 
-    The retraction must be total on [1..n] minus the image, with all
-    values inside the image.
+    The retraction must be defined exactly on [1..n] minus the image,
+    with all values inside the image.
     """
     image_set = set(image)
     if not image_set:
         raise ValueError("image must be nonempty")
     if not all(1 <= x <= n for x in image_set):
         raise ValueError(f"image {sorted(image_set)} not inside [1..{n}]")
+    outside = [x for x in retraction if not 1 <= x <= n]
+    if outside:
+        raise ValueError(f"retraction domain {outside} not inside [1..{n}]")
     overlap = image_set & retraction.keys()
     if overlap:
         raise ValueError(f"retraction domain overlaps image at {sorted(overlap)}")

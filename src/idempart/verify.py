@@ -81,8 +81,8 @@ def _induced_permutation(z: GUElement) -> tuple[int, ...]:
     """Forward table of the permutation z induces on block_idempotent(((k, |U|),)).
 
     Member i owns the points i*k+1 (its root) .. i*k+k, and (member i,
-    position j) goes to (outer(i), blocks[i](j)), with the root as
-    position 0 and fixed by every block.  The roots make the action
+    position j) goes to (outer(i), table[i*(k-1) + j-1]), with the root
+    as position 0 and fixed by every block.  The roots make the action
     faithful also for k = 1, where every block is empty.
     """
     k = z.fiber_class.fiber_size

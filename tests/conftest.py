@@ -1,6 +1,20 @@
+import warnings
+
 import pytest
 
 from idempart import enumerate_idempotents, enumerate_permutations
+
+# When a property test fails, hypothesis imports its patch writer, which
+# imports libcst, which warns through mypy_extensions; under
+# -W error::DeprecationWarning that warning turns the failure report into
+# an INTERNALERROR.  Importing the patch writer here, with that warning
+# ignored for this import only, leaves the report intact.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: hypothesis writes no patch then
+        pass
 
 
 @pytest.fixture(scope="session")

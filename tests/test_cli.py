@@ -106,10 +106,21 @@ def test_pn_remainder_exits_1(capsys, monkeypatch):
 
 
 def test_idempotents_counts(capsys):
+    # every count without --list, below the listing cap too, is the
+    # size-by-size sum; the closed form sum_j C(n,j) j^(n-j) checks it
+    from math import comb
+
     for n, count in ((1, "1"), (3, "10"), (4, "41")):
         code, out = run_cli(capsys, "idempotents", str(n), "--json")
         assert code == 0
         assert json_records(out)[-1]["count"] == count
+    for n in range(1, 9):
+        code, out = run_cli(capsys, "idempotents", str(n), "--json")
+        assert code == 0
+        (rec,) = json_records(out)
+        assert rec["method"] == "size-by-size"
+        expected = sum(comb(n, j) * j ** (n - j) for j in range(1, n + 1))
+        assert rec["count"] == str(expected)
 
 
 def test_idempotents_count_beyond_listing_cap(capsys):
@@ -441,10 +452,12 @@ def test_pn_and_the_size_by_size_count_load_no_group_layer():
         ["pn", "48", "--json"],
         ["pn", "48", "--method", "pentagonal"],
         ["idempotents", "12"],
+        ["idempotents", "5"],
     )
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     assert json.loads(out[0])["p"] == "147273"
     assert "count=157329097  method=size-by-size" in out[2]
+    assert "count=196  method=size-by-size" in out[3]
     assert not loaded & GROUP_LAYER, sorted(loaded)
 
 

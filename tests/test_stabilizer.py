@@ -105,7 +105,7 @@ def test_gu_identity_is_neutral():
 
 def test_gu_outer_swap_squares_to_identity():
     cls = single_class(block_idempotent(2, 2))
-    z = GUElement(cls, ((1,), (1,)), (2, 1))
+    z = GUElement(cls, (1, 1), (2, 1))
     assert gu_multiply(z, z) == gu_identity(cls)
 
 
@@ -123,15 +123,15 @@ def test_gu_inverse_examples():
 
     # pure outer 3-cycle inverts to the reverse cycle
     cls = single_class(Idempotent.identity(3))
-    z = GUElement(cls, ((),) * 3, (2, 3, 1))
+    z = GUElement(cls, (), (2, 3, 1))
     assert gu_inverse(z).outer == (3, 1, 2)
 
     # pure block element inverts each block in place
     cls = single_class(Idempotent((1, 1, 1, 1)))  # k = 4, reference has 3 points
-    z = GUElement(cls, ((2, 3, 1),), (1,))
+    z = GUElement(cls, (2, 3, 1), (1,))
     inv = gu_inverse(z)
     assert inv.outer == (1,)
-    assert inv.blocks == ((3, 1, 2),)
+    assert inv.table == (3, 1, 2)
 
 
 def test_gu_inverse_law_everywhere():
@@ -161,32 +161,37 @@ def test_gu_associativity_small_shapes():
 
 def test_gu_element_validation():
     cls = single_class(block_idempotent(2, 2))
-    assert GUElement(cls, [[1], [1]], [2, 1]) == GUElement(cls, ((1,), (1,)), (2, 1))
+    assert GUElement(cls, [1, 1], [2, 1]) == GUElement(cls, (1, 1), (2, 1))
     with pytest.raises(ValueError):
-        GUElement(cls, ((1,),), (1, 2))  # too few blocks
+        GUElement(cls, (1,), (1, 2))  # one block too few
     with pytest.raises(ValueError):
-        GUElement(cls, ((1, 2),) * 2, (1, 2))  # blocks on k points
+        GUElement(cls, (1, 2) * 2, (1, 2))  # blocks on k points
     with pytest.raises(ValueError):
-        GUElement(cls, ((), ()), (1, 2))  # blocks on k - 2 points
+        GUElement(cls, (), (1, 2))  # blocks on k - 2 points
     with pytest.raises(ValueError):
-        GUElement(cls, ((1,), (1,)), (1, 2, 3))  # outer too long
+        GUElement(cls, (1, 1), (1, 2, 3))  # outer too long
 
     cls = single_class(block_idempotent(3, 2))
     with pytest.raises(ValueError):
-        GUElement(cls, ((1, 1), (1, 2)), (1, 2))  # a block is not a bijection
+        GUElement(cls, (1, 1, 1, 2), (1, 2))  # a block is not a bijection
     with pytest.raises(ValueError):
-        GUElement(cls, ((1, 2), (2, 3)), (1, 2))  # a block leaves 1..k-1
+        GUElement(cls, (1, 2, 2, 3), (1, 2))  # a block leaves 1..k-1
     with pytest.raises(ValueError):
-        GUElement(cls, ((1, 2), (1, 2)), (1, 1))  # outer is not a bijection
+        GUElement(cls, (1, 2, 1, 2), (1, 1))  # outer is not a bijection
     with pytest.raises(ValueError):
-        GUElement(cls, ((1, 2), (1, 2)), (0, 1))  # outer leaves 1..|U|
+        GUElement(cls, (1, 2, 1, 2), (0, 1))  # outer leaves 1..|U|
+    with pytest.raises(ValueError):
+        GUElement(cls, (1, 2, 1, 2, 1, 2), (1, 2))  # one block too many
+    with pytest.raises(ValueError):
+        # a bijection of 1..|U|*(k-1) whose blocks are not bijections of 1..k-1
+        GUElement(cls, (3, 4, 1, 2), (1, 2))
 
 
 def test_gu_block_of_accessor():
     cls = single_class(block_idempotent(3, 2))
     z = gu_identity(cls)
     assert z.block_of(cls.members[0]) == (1, 2)
-    z = GUElement(cls, ((1, 2), (2, 1)), (2, 1))
+    z = GUElement(cls, (1, 2, 2, 1), (2, 1))
     assert z.block_of(cls.members[1]) == (2, 1)
 
 
@@ -197,38 +202,42 @@ def test_gu_table_holds_the_blocks_end_to_end():
         for z in gu_enumerate(cls):
             assert len(z.table) == m * d
             for i, u in enumerate(cls.members):
-                assert z.table[i * d : (i + 1) * d] == z.blocks[i] == z.block_of(u)
+                assert z.table[i * d : (i + 1) * d] == z.block_of(u)
 
 
 def test_gu_blocks_round_trip_through_the_constructor():
     cls = single_class(block_idempotent(4, 2))
-    blocks = ((3, 1, 2), (2, 3, 1))
-    z = GUElement(cls, [list(b) for b in blocks], (2, 1))
+    z = GUElement(cls, [3, 1, 2, 2, 3, 1], (2, 1))
     assert z.table == (3, 1, 2, 2, 3, 1)
-    assert z.blocks == blocks
-    assert GUElement(cls, z.blocks, z.outer) == z
+    assert (z.block_of(cls.members[0]), z.block_of(cls.members[1])) == (
+        (3, 1, 2),
+        (2, 3, 1),
+    )
+    assert GUElement(cls, z.table, z.outer) == z
+    names = {"GUElement": GUElement, "FiberClass": FiberClass}
+    assert eval(repr(z), names) == z
 
 
 def test_gu_table_of_fiber_size_one_is_empty():
     cls = single_class(Idempotent.identity(3))
-    z = GUElement(cls, ((),) * 3, (3, 1, 2))
+    z = GUElement(cls, (), (3, 1, 2))
     assert z.table == ()
-    assert z.blocks == ((),) * 3
+    assert all(z.block_of(u) == () for u in cls.members)
     assert all(y.table == () for y in gu_enumerate(cls))
     assert gu_multiply(z, z).table == gu_inverse(z).table == ()
 
 
 def test_gu_hash_and_equality_run_over_table_outer_and_class():
     cls = single_class(block_idempotent(3, 2))
-    z = GUElement(cls, ((2, 1), (1, 2)), (2, 1))
+    z = GUElement(cls, (2, 1, 1, 2), (2, 1))
     key = (z.table, z.outer)
     twin = next(y for y in gu_enumerate(cls) if (y.table, y.outer) == key)
     assert twin is not z
     assert twin == z and hash(twin) == hash(z)
-    assert GUElement(cls, ((1, 2), (2, 1)), (2, 1)) != z
-    assert GUElement(cls, ((2, 1), (1, 2)), (1, 2)) != z
+    assert GUElement(cls, (1, 2, 2, 1), (2, 1)) != z
+    assert GUElement(cls, (2, 1, 1, 2), (1, 2)) != z
     other = cls._replace(members=tuple(u + 100 for u in cls.members))
-    assert GUElement(other, z.blocks, z.outer) != z
+    assert GUElement(other, z.table, z.outer) != z
 
 
 def test_gu_enumerate_runs_outer_then_blocks_lexicographically():
@@ -240,7 +249,10 @@ def test_gu_enumerate_runs_outer_then_blocks_lexicographically():
             for outer in itertools.permutations(range(1, m + 1))
             for blocks in itertools.product(base, repeat=m)
         ]
-        assert [(z.blocks, z.outer) for z in gu_enumerate(cls)] == reference
+        assert [
+            (tuple(z.block_of(u) for u in cls.members), z.outer)
+            for z in gu_enumerate(cls)
+        ] == reference
 
 
 # ------------------------------------------------------------- gamma hom
@@ -257,7 +269,7 @@ def test_gamma_constant_map_example():
     cls = single_class(f)
     z = gamma_hom(Permutation((1, 3, 2)), f, cls)
     assert z.outer == (1,)
-    assert z.blocks == ((2, 1),)
+    assert z.table == (2, 1)
 
 
 def test_gamma_rejects_non_stabilizer():

@@ -103,6 +103,11 @@ def test_assemble_rejects_bad_retractions():
         assemble_idempotent(3, {1}, {2: 1})  # not total
     with pytest.raises(ValueError):
         assemble_idempotent(3, {1, 5}, {})  # image outside [1..n]
+    with pytest.raises(ValueError):
+        # key 0 would index values[-1] and take point 2 unseen
+        assemble_idempotent(2, [1], {0: 1})
+    with pytest.raises(ValueError):
+        assemble_idempotent(2, [1], {2: 1, 5: 1})  # key beyond n
 
 
 def test_decompose_assemble_roundtrip():
