@@ -28,6 +28,22 @@ __all__ = [
 ]
 
 
+def _check_type(g: tuple[tuple[int, int], ...], n: int | None = None) -> None:
+    """Raise ValueError unless g is a sparse type vector, of weight n if given.
+
+    Its sizes k must be positive and strictly ascending, each with g(k) > 0.
+    """
+    previous = 0
+    for k, gk in g:
+        if k <= previous or gk < 1:
+            raise ValueError(f"{g} is not a sparse type vector")
+        previous = k
+    if n is not None:
+        weight = sum(k * gk for k, gk in g)
+        if weight != n:
+            raise ValueError(f"type vector has weight {weight}, expected {n}")
+
+
 def count_idempotents_of_type(n: int, g: tuple[tuple[int, int], ...]) -> int:
     """Number of idempotents on [n] whose fiber-size type is g.
 
@@ -35,9 +51,7 @@ def count_idempotents_of_type(n: int, g: tuple[tuple[int, int], ...]) -> int:
     among the points not yet consumed, then fill each of their fibers
     with k-1 further points.
     """
-    weight = sum(k * gk for k, gk in g)
-    if weight != n:
-        raise ValueError(f"type vector has weight {weight}, expected {n}")
+    _check_type(g, n)
     total = 1
     consumed = 0
     for k, gk in g:
@@ -55,6 +69,7 @@ def stabilizer_order_formula(g: tuple[tuple[int, int], ...]) -> int:
     The product is prod (k-1)!^g(k) * g(k)! over the sizes k in g: the
     orders of the per-class factor groups of the stabilizer module.
     """
+    _check_type(g)
     total = 1
     for k, gk in g:
         total *= factorial(k - 1) ** gk * factorial(gk)
@@ -121,6 +136,7 @@ def summand_direct(n: int, g: tuple[tuple[int, int], ...]) -> int:
     Kept deliberately separate from summand() and asserted equal in the
     tests, guarding against transcription slips in the nested product.
     """
+    _check_type(g, n)
     counts = dict(g)
     total = 1
     for k in range(1, n + 1):

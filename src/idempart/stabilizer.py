@@ -3,21 +3,22 @@
 Image points whose fibers share a size k form a class U.  A stabilizing
 permutation must permute U and carry fibers onto fibers, so per class it
 is captured by a pair: a U-indexed tuple of permutations of a reference
-fiber (the representative's fiber minus its root, all blocks expressed
+fiber (the first member's fiber minus its root, all blocks expressed
 through fixed order-preserving bijections) twisted by a permutation of
 U itself.  Those pairs form a group of order ((k-1)!)^|U| * |U|!.  An
-element is built from, stored as and read back through one flat table
-of its |U| blocks end to end, block i at offset i*(k-1), so a product
-builds one tuple for the blocks and one for the twist.  Multiplying
-the group orders over all classes recovers the stabilizer size, which
-depends only on the fiber-size type vector, the sparse tuple
-((k, g(k)), ...) of sizes k with g(k) > 0, ascending in k.
+element is an immutable named tuple of its class, one flat table of
+its |U| blocks end to end (block i at offset i*(k-1)) and the twist, so
+a product builds one tuple for the blocks and one for the twist.
+Multiplying the group orders over all classes recovers the stabilizer
+size, which depends only on the fiber-size type vector, the sparse
+tuple ((k, g(k)), ...) of sizes k with g(k) > 0, ascending in k.
 formula.stabilizer_order_formula computes it from that vector alone.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from typing import Iterable, Iterator, NamedTuple
 
 from .combinatorics import factorial
@@ -43,18 +44,14 @@ class FiberClass(NamedTuple):
     """Image points of one common fiber size.
 
     members is the sorted tuple U of image points whose fibers have
-    fiber_size elements; reference is the representative's fiber minus
-    the representative itself (sorted), the common domain on which all
-    block permutations act through order-preserving relabelings.
+    fiber_size elements; reference is the fiber of members[0] minus
+    members[0] itself (sorted), the common domain on which all block
+    permutations act through order-preserving relabelings.
     """
 
     fiber_size: int
     members: tuple[int, ...]
     reference: tuple[int, ...]
-
-    @property
-    def representative(self) -> int:
-        return self.members[0]
 
 
 def eta_classes(f: Idempotent) -> list[FiberClass]:
@@ -75,7 +72,7 @@ def _is_bijection(table: tuple[int, ...], n: int) -> bool:
     return sorted(table) == list(range(1, n + 1))
 
 
-class GUElement:
+class GUElement(namedtuple("GUElement", ("fiber_class", "table", "outer"))):
     """One element of the class group: per-member blocks plus a twist.
 
     table holds the blocks of all members end to end: with d = k-1, the
@@ -83,20 +80,21 @@ class GUElement:
     table of a bijection of positions 1..d of the reference fiber
     (table[i*d + j-1] is the image of j).  outer is the forward table
     of a bijection of positions 1..|U| of the member list.  For fiber
-    size 1 the table is empty.  The constructor checks the table's
-    length, each of its blocks and the outer part; block_of reads one
-    block back as a slice.  Two elements are equal when their classes,
-    tables and outer parts are.
+    size 1 the table is empty.  An element is an immutable named tuple
+    of its class, table and outer part, so equality, hashing and order
+    run over those three fields.  The constructor, and _make and
+    _replace through it, check the table's length, each of its blocks
+    and the outer part; block_of reads one block back as a slice.
     """
 
-    __slots__ = ("fiber_class", "table", "outer")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         fiber_class: FiberClass,
         table: Iterable[int],
         outer: Iterable[int],
-    ) -> None:
+    ) -> GUElement:
         m = len(fiber_class.members)
         d = fiber_class.fiber_size - 1
         table = tuple(table)
@@ -107,24 +105,11 @@ class GUElement:
             raise ValueError(f"blocks must be bijections of 1..{d}")
         if not _is_bijection(outer, m):
             raise ValueError(f"outer must be a bijection of 1..{m}")
-        self.fiber_class = fiber_class
-        self.table = table
-        self.outer = outer
+        return tuple.__new__(cls, (fiber_class, table, outer))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GUElement):
-            return NotImplemented
-        return (
-            self.outer == other.outer
-            and self.table == other.table
-            and self.fiber_class == other.fiber_class
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.table, self.outer))
-
-    def __repr__(self) -> str:
-        return f"GUElement({self.fiber_class!r}, {self.table!r}, {self.outer!r})"
+    @classmethod
+    def _make(cls, iterable: Iterable) -> GUElement:
+        return cls(*iterable)
 
     def block_of(self, u: int) -> tuple[int, ...]:
         """Block attached to the image point u."""
@@ -139,11 +124,7 @@ def _element(
     # GUElement without the constructor's checks, for products, inverses
     # and enumeration: those have a flat table of |U| bijections of
     # 1..k-1 and a bijection of 1..|U| by construction
-    z = object.__new__(GUElement)
-    z.fiber_class = cls
-    z.table = table
-    z.outer = outer
-    return z
+    return tuple.__new__(GUElement, (cls, table, outer))
 
 
 def _inverse_table(table: tuple[int, ...]) -> tuple[int, ...]:
@@ -219,28 +200,20 @@ def gu_enumerate(cls: FiberClass) -> Iterator[GUElement]:
             yield _element(cls, table, outer)
 
 
-def _check_class_of(f: Idempotent, cls: FiberClass) -> None:
-    k = cls.fiber_size
-    for u in cls.members:
-        if len(f.fibers.get(u, ())) != k:
-            raise ValueError(f"{cls} is not a fiber-size class of {f.values}")
-    root = cls.representative
-    if cls.reference != tuple(y for y in f.fibers[root] if y != root):
-        raise ValueError(f"{cls} is not a fiber-size class of {f.values}")
-
-
 def gamma_hom(sigma: Permutation, f: Idempotent, cls: FiberClass) -> GUElement:
     """Image of a stabilizing permutation in the class group.
 
     The outer part is sigma restricted to the class members; the block
     attached to u tracks sigma from the fiber of u to the fiber of
     sigma(u), read through the order-preserving reference bijections.
+    cls must be one of eta_classes(f).
     """
     if sigma.n != f.n:
         raise ValueError(f"size mismatch: {sigma.n} vs {f.n}")
     if _conjugated(f.values, sigma) != f.values:
         raise ValueError("permutation does not stabilize the idempotent")
-    _check_class_of(f, cls)
+    if cls not in eta_classes(f):
+        raise ValueError(f"{cls} is not a fiber-size class of {f.values}")
     members = cls.members
     pos = {u: i for i, u in enumerate(members, start=1)}
     outer = [pos[sigma(u)] for u in members]

@@ -63,6 +63,8 @@ class Permutation:
 
     @classmethod
     def from_mapping(cls, n: int, mapping: dict[int, int]) -> "Permutation":
+        if len(mapping) != n or not all(x in mapping for x in range(1, n + 1)):
+            raise ValueError(f"{mapping} does not map exactly the points 1..{n}")
         return cls(mapping[x] for x in range(1, n + 1))
 
     def __call__(self, x: int) -> int:

@@ -2,9 +2,10 @@
 
 An idempotent self-map fixes every point of its image and retracts
 every other point onto the image, so each one is determined by an
-(image, retraction) pair.  That decomposition drives the constructive
-enumerator; a filtered scan of all n^n maps serves as the brute-force
-cross-check at small n.
+(image, retraction) pair; decompose_idempotent and assemble_idempotent
+convert between the two.  The constructive enumerator walks image sets
+and writes each retraction straight into a value tuple; a filtered
+scan of all n^n maps serves as the brute-force cross-check at small n.
 """
 
 from __future__ import annotations

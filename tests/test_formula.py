@@ -12,6 +12,7 @@ from idempart import (
     formula,
     p_pentagonal,
     p_via_formula,
+    stabilizer_order_formula,
     summand,
     summand_direct,
     total_idempotents,
@@ -30,6 +31,24 @@ def test_count_examples_n3():
 def test_count_rejects_weight_mismatch():
     with pytest.raises(ValueError):
         count_idempotents_of_type(4, ((1, 1), (2, 1)))
+    # weight n, but not sparse type vectors
+    for n, g in (
+        (3, ((1, 1), (1, 2))),  # a size repeated
+        (3, ((1, -1), (2, 2))),  # g(k) below 1
+        (2, ((2, 1), (0, 5))),  # a size below 1
+        (4, ((1, 4), (3, 0))),  # g(k) = 0 listed
+        (5, ((2, 1), (1, 3))),  # sizes descending
+    ):
+        with pytest.raises(ValueError):
+            count_idempotents_of_type(n, g)
+        with pytest.raises(ValueError):
+            stabilizer_order_formula(g)
+        with pytest.raises(ValueError):
+            summand_direct(n, g)
+        with pytest.raises(ValueError):
+            summand(n, g)
+    with pytest.raises(ValueError):
+        summand_direct(3, ((1, 2),))  # weight 2
 
 
 def test_count_matches_bruteforce_tally():

@@ -186,6 +186,34 @@ def test_gu_element_validation():
         # a bijection of 1..|U|*(k-1) whose blocks are not bijections of 1..k-1
         GUElement(cls, (3, 4, 1, 2), (1, 2))
 
+    # every public way to build an element runs the same checks
+    z = GUElement(cls, (1, 2, 2, 1), (2, 1))
+    with pytest.raises(ValueError):
+        GUElement(fiber_class=cls, table=(1, 1, 1, 2), outer=(1, 2))
+    with pytest.raises(ValueError):
+        GUElement._make((cls, (1, 1, 1, 2), (1, 2)))
+    with pytest.raises(ValueError):
+        z._replace(table=(1, 1, 1, 2))
+    with pytest.raises(ValueError):
+        z._replace(outer=(1, 1))
+    assert GUElement._make((cls, [1, 2, 2, 1], [2, 1])) == z
+    assert z._replace(outer=(1, 2)) == GUElement(cls, (1, 2, 2, 1), (1, 2))
+
+
+def test_gu_element_is_immutable():
+    cls = single_class(block_idempotent(3, 2))
+    z = GUElement(cls, (1, 2, 2, 1), (2, 1))
+    seen = {z: "z"}
+    for field, value in (
+        ("table", (9, 9, 9, 9)),
+        ("outer", (1, 1)),
+        ("fiber_class", single_class(Idempotent.identity(3))),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(z, field, value)
+    assert z == GUElement(cls, (1, 2, 2, 1), (2, 1))
+    assert seen[GUElement(cls, (1, 2, 2, 1), (2, 1))] == "z"
+
 
 def test_gu_block_of_accessor():
     cls = single_class(block_idempotent(3, 2))
@@ -283,6 +311,17 @@ def test_gamma_rejects_foreign_class():
     other = single_class(Idempotent.identity(3))
     with pytest.raises(ValueError):
         gamma_hom(Permutation.identity(3), f, other)
+
+    f = block_idempotent(3, 2)
+    swap = Permutation((4, 5, 6, 1, 2, 3))
+    assert single_class(f) == FiberClass(3, (1, 4), (2, 3))
+    for cls in (
+        FiberClass(3, (1,), (2, 3)),  # one of the two members
+        FiberClass(3, (4, 1), (5, 6)),  # members out of order
+    ):
+        for sigma in (swap, Permutation.identity(6)):
+            with pytest.raises(ValueError):
+                gamma_hom(sigma, f, cls)
 
 
 def test_gamma_is_homomorphism_small(idems_by_n, perms_by_n):

@@ -30,6 +30,11 @@ def test_permutation_validation():
         Permutation((1, 1, 3))
     with pytest.raises(ValueError):
         Permutation((1, 4, 2))
+    assert Permutation.from_mapping(3, {1: 2, 2: 1, 3: 3}).forward == (2, 1, 3)
+    with pytest.raises(ValueError):
+        Permutation.from_mapping(3, {1: 2, 2: 1})  # point 3 is missing
+    with pytest.raises(ValueError):
+        Permutation.from_mapping(2, {1: 1, 2: 2, 5: 5})  # key beyond n
 
 
 def test_permutation_composition_applies_right_first():
