@@ -3,10 +3,10 @@
 The partition number p(n) equals the number of conjugation orbits of
 idempotent self-maps of {1, ..., n} under the symmetric group.  This
 package implements the whole chain with exact integer arithmetic:
-idempotents and their (image, retraction) structure, the conjugation
-action with explicit orbits, stabilizers and their per-fiber-size
-factor groups, the resulting closed-form product formula for p(n), and
-brute-force oracles cross-checking every identity at small n.
+idempotents with their images and fibers, the conjugation action with
+explicit orbits, stabilizers and their per-fiber-size factor groups,
+the resulting closed-form product formula for p(n), and brute-force
+oracles cross-checking every identity at small n.
 
 Each name of __all__ is read from its submodule on first access
 (PEP 562), so importing the package, or one submodule through it, loads
@@ -51,10 +51,7 @@ _HOME = {
     "stabilizer_bruteforce": "symmetric",
     "FiniteMap": "transformations",
     "Idempotent": "transformations",
-    "assemble_idempotent": "transformations",
     "block_idempotent": "transformations",
-    "compose": "transformations",
-    "decompose_idempotent": "transformations",
     "enumerate_idempotents": "transformations",
     "enumerate_idempotents_bruteforce": "transformations",
     "is_idempotent": "transformations",

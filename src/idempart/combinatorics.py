@@ -4,7 +4,8 @@ Factorials, binomial coefficients, integer partitions as part tuples,
 and the pentagonal-number recurrence for the partition function p(n).
 Everything is exact integer arithmetic; nothing here ever rounds or
 overflows.  A fiber-size type vector is a plain sparse tuple
-((k, g(k)), ...) with k ascending; formula.type_terms builds them.
+((k, g(k)), ...) with k ascending and every g(k) > 0; formula.type_terms
+builds them, and _check_type rejects any other tuple.
 PERMUTATION_ENUM_LIMIT lives here, not in symmetric, so that the CLI's
 limits table reads it without loading the group layer.
 """
@@ -51,6 +52,22 @@ def exact_div(a: int, b: int) -> int:
     if r:
         raise RemainderError(f"{a} is not divisible by {b} (remainder {r})")
     return q
+
+
+def _check_type(g: tuple[tuple[int, int], ...], n: int | None = None) -> None:
+    """Raise ValueError unless g is a sparse type vector, of weight n if given.
+
+    Its sizes k must be positive and strictly ascending, each with g(k) > 0.
+    """
+    previous = 0
+    for k, gk in g:
+        if k <= previous or gk < 1:
+            raise ValueError(f"{g} is not a sparse type vector")
+        previous = k
+    if n is not None:
+        weight = sum(k * gk for k, gk in g)
+        if weight != n:
+            raise ValueError(f"type vector has weight {weight}, expected {n}")
 
 
 def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:

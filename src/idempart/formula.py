@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .combinatorics import binomial, exact_div, factorial, p_pentagonal
+from .combinatorics import _check_type, binomial, exact_div, factorial, p_pentagonal
 
 __all__ = [
     "count_idempotents_of_type",
@@ -26,22 +26,6 @@ __all__ = [
     "total_idempotents",
     "type_terms",
 ]
-
-
-def _check_type(g: tuple[tuple[int, int], ...], n: int | None = None) -> None:
-    """Raise ValueError unless g is a sparse type vector, of weight n if given.
-
-    Its sizes k must be positive and strictly ascending, each with g(k) > 0.
-    """
-    previous = 0
-    for k, gk in g:
-        if k <= previous or gk < 1:
-            raise ValueError(f"{g} is not a sparse type vector")
-        previous = k
-    if n is not None:
-        weight = sum(k * gk for k, gk in g)
-        if weight != n:
-            raise ValueError(f"type vector has weight {weight}, expected {n}")
 
 
 def count_idempotents_of_type(n: int, g: tuple[tuple[int, int], ...]) -> int:

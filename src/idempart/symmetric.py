@@ -72,11 +72,6 @@ class Permutation:
             raise ValueError(f"point {x} outside [1..{self.n}]")
         return self.forward[x - 1]
 
-    def apply_inverse(self, x: int) -> int:
-        if not 1 <= x <= self.n:
-            raise ValueError(f"point {x} outside [1..{self.n}]")
-        return self.backward[x - 1]
-
     def inverse(self) -> "Permutation":
         return _permutation(self.n, self.backward, self.forward)
 

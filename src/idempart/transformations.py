@@ -2,8 +2,7 @@
 
 An idempotent self-map fixes every point of its image and retracts
 every other point onto the image, so each one is determined by an
-(image, retraction) pair; decompose_idempotent and assemble_idempotent
-convert between the two.  The constructive enumerator walks image sets
+(image, retraction) pair.  The constructive enumerator walks image sets
 and writes each retraction straight into a value tuple; a filtered
 scan of all n^n maps serves as the brute-force cross-check at small n.
 """
@@ -12,15 +11,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
+
+from .combinatorics import _check_type
 
 __all__ = [
     "FiniteMap",
     "Idempotent",
-    "assemble_idempotent",
     "block_idempotent",
-    "compose",
-    "decompose_idempotent",
     "enumerate_idempotents",
     "enumerate_idempotents_bruteforce",
     "is_idempotent",
@@ -50,10 +48,6 @@ class FiniteMap:
     def identity(cls, n: int) -> "FiniteMap":
         return cls(range(1, n + 1))
 
-    @classmethod
-    def constant(cls, n: int, target: int) -> "FiniteMap":
-        return cls((target,) * n)
-
     def __call__(self, x: int) -> int:
         if not 1 <= x <= self.n:
             raise ValueError(f"point {x} outside [1..{self.n}]")
@@ -68,14 +62,6 @@ class FiniteMap:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.values})"
-
-
-def compose(f: FiniteMap, g: FiniteMap) -> FiniteMap:
-    """Pointwise composition x -> f(g(x))."""
-    if f.n != g.n:
-        raise ValueError(f"size mismatch: {f.n} vs {g.n}")
-    fv = f.values
-    return FiniteMap(fv[v - 1] for v in g.values)
 
 
 def is_idempotent(f: FiniteMap) -> bool:
@@ -104,52 +90,6 @@ class Idempotent(FiniteMap):
             buckets.setdefault(v, []).append(x)
         self.image = tuple(sorted(buckets))
         self.fibers = {x: tuple(buckets[x]) for x in self.image}
-
-    def fiber(self, x: int) -> tuple[int, ...]:
-        """Preimage of the image point x, sorted ascending."""
-        try:
-            return self.fibers[x]
-        except KeyError:
-            raise ValueError(f"{x} is not an image point of {self.values}") from None
-
-
-def decompose_idempotent(f: Idempotent) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Split f into its image and the retraction of the complement."""
-    image_set = set(f.image)
-    retraction = {x: f.values[x - 1] for x in range(1, f.n + 1) if x not in image_set}
-    return f.image, retraction
-
-
-def assemble_idempotent(
-    n: int, image: Iterable[int], retraction: Mapping[int, int]
-) -> Idempotent:
-    """Rebuild the idempotent fixing `image` and retracting the rest.
-
-    The retraction must be defined exactly on [1..n] minus the image,
-    with all values inside the image.
-    """
-    image_set = set(image)
-    if not image_set:
-        raise ValueError("image must be nonempty")
-    if not all(1 <= x <= n for x in image_set):
-        raise ValueError(f"image {sorted(image_set)} not inside [1..{n}]")
-    outside = [x for x in retraction if not 1 <= x <= n]
-    if outside:
-        raise ValueError(f"retraction domain {outside} not inside [1..{n}]")
-    overlap = image_set & retraction.keys()
-    if overlap:
-        raise ValueError(f"retraction domain overlaps image at {sorted(overlap)}")
-    values = [0] * n
-    for x in image_set:
-        values[x - 1] = x
-    for x, target in retraction.items():
-        if target not in image_set:
-            raise ValueError(f"retraction value {target} outside image")
-        values[x - 1] = target
-    if 0 in values:
-        missing = [x + 1 for x, v in enumerate(values) if v == 0]
-        raise ValueError(f"retraction not total: {missing} unassigned")
-    return Idempotent(values)
 
 
 def enumerate_idempotents_bruteforce(n: int) -> Iterator[Idempotent]:
@@ -206,8 +146,10 @@ def block_idempotent(g: tuple[tuple[int, int], ...]) -> Idempotent:
     """The idempotent of sparse type g whose fibers are consecutive blocks.
 
     The g(k) fibers of size k come in ascending k, each a block of k
-    consecutive points rooted at its first point.
+    consecutive points rooted at its first point.  A g that is not a
+    sparse type vector raises ValueError.
     """
+    _check_type(g)
     values: list[int] = []
     for k, gk in g:
         for _ in range(gk):

@@ -3,10 +3,7 @@ import pytest
 from idempart import (
     FiniteMap,
     Idempotent,
-    assemble_idempotent,
     block_idempotent,
-    compose,
-    decompose_idempotent,
     enumerate_idempotents,
     enumerate_idempotents_bruteforce,
     is_idempotent,
@@ -30,30 +27,6 @@ def test_finite_map_validation():
         f(4)
 
 
-def test_compose_identity_law():
-    f = FiniteMap((2, 2, 3))
-    ident = FiniteMap.identity(3)
-    assert compose(f, ident) == f
-    assert compose(ident, f) == f
-
-
-def test_compose_constant_absorbs():
-    const = FiniteMap.constant(3, 1)
-    for g in (FiniteMap((3, 1, 1)), FiniteMap((2, 2, 2)), FiniteMap.identity(3)):
-        assert compose(const, g) == const
-
-
-def test_compose_pointwise():
-    f = FiniteMap((2, 2, 3))
-    g = FiniteMap((3, 1, 1))
-    assert compose(f, g).values == (3, 2, 2)
-
-
-def test_compose_size_mismatch():
-    with pytest.raises(ValueError):
-        compose(FiniteMap((1, 2)), FiniteMap((1, 2, 3)))
-
-
 def test_is_idempotent():
     assert is_idempotent(FiniteMap.identity(5))
     assert is_idempotent(FiniteMap((2, 2, 3)))
@@ -65,11 +38,8 @@ def test_idempotent_construction_validates():
     f = Idempotent((1, 2, 1))
     assert f.image == (1, 2)
     assert f.fibers == {1: (1, 3), 2: (2,)}
-    assert f.fiber(1) == (1, 3)
     with pytest.raises(ValueError):
         Idempotent((2, 3, 1))
-    with pytest.raises(ValueError):
-        f.fiber(3)
 
 
 def test_idempotent_fibers_contain_roots():
@@ -78,43 +48,6 @@ def test_idempotent_fibers_contain_roots():
             assert set(f.image) == {v for v in f.values}
             for x in f.image:
                 assert x in f.fibers[x]
-
-
-def test_decompose_examples():
-    assert decompose_idempotent(Idempotent.identity(3)) == ((1, 2, 3), {})
-    assert decompose_idempotent(Idempotent((1, 1, 1))) == ((1,), {2: 1, 3: 1})
-    assert decompose_idempotent(Idempotent((1, 2, 1))) == ((1, 2), {3: 1})
-
-
-def test_assemble_examples():
-    assert assemble_idempotent(3, {1, 2, 3}, {}) == Idempotent.identity(3)
-    assert assemble_idempotent(3, {2}, {1: 2, 3: 2}).values == (2, 2, 2)
-    assert assemble_idempotent(4, {1, 3}, {2: 1, 4: 3}).values == (1, 1, 3, 3)
-
-
-def test_assemble_rejects_bad_retractions():
-    with pytest.raises(ValueError):
-        assemble_idempotent(3, set(), {})
-    with pytest.raises(ValueError):
-        assemble_idempotent(3, {1}, {2: 2, 3: 1})  # value outside image
-    with pytest.raises(ValueError):
-        assemble_idempotent(3, {1, 2}, {2: 1, 3: 1})  # domain overlaps image
-    with pytest.raises(ValueError):
-        assemble_idempotent(3, {1}, {2: 1})  # not total
-    with pytest.raises(ValueError):
-        assemble_idempotent(3, {1, 5}, {})  # image outside [1..n]
-    with pytest.raises(ValueError):
-        # key 0 would index values[-1] and take point 2 unseen
-        assemble_idempotent(2, [1], {0: 1})
-    with pytest.raises(ValueError):
-        assemble_idempotent(2, [1], {2: 1, 5: 1})  # key beyond n
-
-
-def test_decompose_assemble_roundtrip():
-    for n in range(1, 8):
-        for f in enumerate_idempotents(n):
-            image, retraction = decompose_idempotent(f)
-            assert assemble_idempotent(n, image, retraction) == f
 
 
 def test_bruteforce_counts_and_examples():
@@ -177,3 +110,17 @@ def test_block_idempotent_has_the_type_it_is_built_from():
             assert type_vector_of(block_idempotent(g)) == g
     # consecutive blocks, each rooted at its first point
     assert block_idempotent(((1, 1), (2, 2))).values == (1, 2, 2, 4, 4)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        ((2, 1), (1, 1)),  # sizes descending
+        ((2, 1), (2, 1)),  # size 2 listed twice
+        ((1, 2), (1, 1)),  # size 1 listed twice
+        ((3, 0), (1, 2)),  # g(3) = 0 left in, sizes descending
+    ],
+)
+def test_block_idempotent_rejects_a_malformed_type_vector(g):
+    with pytest.raises(ValueError, match="not a sparse type vector"):
+        block_idempotent(g)
