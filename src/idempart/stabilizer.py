@@ -2,13 +2,13 @@
 
 Image points whose fibers share a size k form a class U.  A stabilizing
 permutation must permute U and carry fibers onto fibers, so per class it
-is captured by a pair: a U-indexed tuple of permutations of a reference
-fiber (the first member's fiber minus its root, all blocks expressed
-through fixed order-preserving bijections) twisted by a permutation of
-U itself.  Those pairs form a group of order ((k-1)!)^|U| * |U|!.  An
-element is an immutable named tuple of its class, one flat table of
-its |U| blocks end to end (block i at offset i*(k-1)) and the twist, so
-a product builds one tuple for the blocks and one for the twist.
+is captured by a pair: a U-indexed tuple of permutations of positions
+1..k-1 (each fiber minus its root, read in ascending order) twisted by
+a permutation of U itself.  Those pairs form a group of order
+((k-1)!)^|U| * |U|!.  An element is an immutable named tuple of its
+class, one flat table of its |U| blocks end to end (block i at offset
+i*(k-1)) and the twist, so a product builds one tuple for the blocks
+and one for the twist.
 Multiplying the group orders over all classes recovers the stabilizer
 size, which depends only on the fiber-size type vector, the sparse
 tuple ((k, g(k)), ...) of sizes k with g(k) > 0, ascending in k.
@@ -44,14 +44,11 @@ class FiberClass(NamedTuple):
     """Image points of one common fiber size.
 
     members is the sorted tuple U of image points whose fibers have
-    fiber_size elements; reference is the fiber of members[0] minus
-    members[0] itself (sorted), the common domain on which all block
-    permutations act through order-preserving relabelings.
+    fiber_size elements.
     """
 
     fiber_size: int
     members: tuple[int, ...]
-    reference: tuple[int, ...]
 
 
 def eta_classes(f: Idempotent) -> list[FiberClass]:
@@ -59,13 +56,8 @@ def eta_classes(f: Idempotent) -> list[FiberClass]:
     by_size: dict[int, list[int]] = {}
     for x in f.image:
         by_size.setdefault(len(f.fibers[x]), []).append(x)
-    classes = []
-    for k in sorted(by_size):
-        members = tuple(by_size[k])  # ascending, image is iterated sorted
-        root = members[0]
-        reference = tuple(y for y in f.fibers[root] if y != root)
-        classes.append(FiberClass(k, members, reference))
-    return classes
+    # members ascend, as the image is iterated sorted
+    return [FiberClass(k, tuple(by_size[k])) for k in sorted(by_size)]
 
 
 def _is_bijection(table: tuple[int, ...], n: int) -> bool:
@@ -77,14 +69,14 @@ class GUElement(namedtuple("GUElement", ("fiber_class", "table", "outer"))):
 
     table holds the blocks of all members end to end: with d = k-1, the
     block attached to members[i] is table[i*d:(i+1)*d], the forward
-    table of a bijection of positions 1..d of the reference fiber
+    table of a bijection of positions 1..d of the fiber minus its root
     (table[i*d + j-1] is the image of j).  outer is the forward table
     of a bijection of positions 1..|U| of the member list.  For fiber
     size 1 the table is empty.  An element is an immutable named tuple
     of its class, table and outer part, so equality, hashing and order
     run over those three fields.  The constructor, and _make and
     _replace through it, check the table's length, each of its blocks
-    and the outer part; block_of reads one block back as a slice.
+    and the outer part.
     """
 
     __slots__ = ()
@@ -110,12 +102,6 @@ class GUElement(namedtuple("GUElement", ("fiber_class", "table", "outer"))):
     @classmethod
     def _make(cls, iterable: Iterable) -> GUElement:
         return cls(*iterable)
-
-    def block_of(self, u: int) -> tuple[int, ...]:
-        """Block attached to the image point u."""
-        d = self.fiber_class.fiber_size - 1
-        i = self.fiber_class.members.index(u)
-        return self.table[i * d : i * d + d]
 
 
 def _element(
@@ -205,23 +191,25 @@ def gamma_hom(sigma: Permutation, f: Idempotent, cls: FiberClass) -> GUElement:
 
     The outer part is sigma restricted to the class members; the block
     attached to u tracks sigma from the fiber of u to the fiber of
-    sigma(u), read through the order-preserving reference bijections.
-    cls must be one of eta_classes(f).
+    sigma(u), each fiber minus its root read in ascending order.  cls
+    must be one of eta_classes(f): its members are every image point
+    of f with a fiber of fiber_size elements, and there is at least one.
     """
     if sigma.n != f.n:
         raise ValueError(f"size mismatch: {sigma.n} vs {f.n}")
     if _conjugated(f.values, sigma) != f.values:
         raise ValueError("permutation does not stabilize the idempotent")
-    if cls not in eta_classes(f):
-        raise ValueError(f"{cls} is not a fiber-size class of {f.values}")
     members = cls.members
-    pos = {u: i for i, u in enumerate(members, start=1)}
-    outer = [pos[sigma(u)] for u in members]
-    table: list[int] = []
-    for u in members:
-        src = [y for y in f.fibers[u] if y != u]
-        dst_root = sigma(u)
-        dst = [y for y in f.fibers[dst_root] if y != dst_root]
-        dst_pos = {y: j for j, y in enumerate(dst, start=1)}
-        table += [dst_pos[sigma(y)] for y in src]
+    k = cls.fiber_size
+    if not members or members != tuple(x for x in f.image if len(f.fibers[x]) == k):
+        raise ValueError(f"{cls} is not a fiber-size class of {f.values}")
+    # the place of each point of the class's fibers: a member's index
+    # among the members, any other point's index among its fiber's
+    # non-root points; sigma carries both kinds to their own kind
+    place = {u: i for i, u in enumerate(members, start=1)}
+    rests = [[y for y in f.fibers[u] if y != u] for u in members]
+    for rest in rests:
+        place.update((y, j) for j, y in enumerate(rest, start=1))
+    outer = [place[sigma(u)] for u in members]
+    table = [place[sigma(y)] for rest in rests for y in rest]
     return GUElement(cls, table, outer)

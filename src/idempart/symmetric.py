@@ -182,20 +182,16 @@ def conjugator(f: Idempotent, g: Idempotent) -> Permutation:
     """
     if not same_orbit(f, g):
         raise ValueError("the idempotents are not conjugate")
-    by_size_f: dict[int, list[int]] = {}
-    by_size_g: dict[int, list[int]] = {}
-    for x in f.image:
-        by_size_f.setdefault(len(f.fibers[x]), []).append(x)
-    for y in g.image:
-        by_size_g.setdefault(len(g.fibers[y]), []).append(y)
+    # a stable sort by fiber size keeps points of one size ascending, and
+    # equal type vectors pair the two lists size for size
+    roots = [sorted(h.image, key=lambda x: len(h.fibers[x])) for h in (f, g)]
     mapping: dict[int, int] = {}
-    for size, xs in by_size_f.items():
-        for x, y in zip(xs, by_size_g[size]):
-            mapping[x] = y
-            rest_src = [s for s in f.fibers[x] if s != x]
-            rest_dst = [t for t in g.fibers[y] if t != y]
-            for s, t in zip(rest_src, rest_dst):
-                mapping[s] = t
+    for x, y in zip(*roots):
+        mapping[x] = y
+        rest_src = [s for s in f.fibers[x] if s != x]
+        rest_dst = [t for t in g.fibers[y] if t != y]
+        for s, t in zip(rest_src, rest_dst):
+            mapping[s] = t
     return Permutation.from_mapping(f.n, mapping)
 
 

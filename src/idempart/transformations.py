@@ -44,10 +44,6 @@ class FiniteMap:
         self.n = n
         self.values = values
 
-    @classmethod
-    def identity(cls, n: int) -> "FiniteMap":
-        return cls(range(1, n + 1))
-
     def __call__(self, x: int) -> int:
         if not 1 <= x <= self.n:
             raise ValueError(f"point {x} outside [1..{self.n}]")

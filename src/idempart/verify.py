@@ -111,8 +111,10 @@ def _check_gu_shape(k: int, m: int, rng: random.Random) -> CheckResult:
     elems = list(gu_enumerate(cls))
     order = gu_order(cls)
     name = f"gu-axioms k={k} |U|={m}"
-    if len(elems) != order:
-        return CheckResult(name, False, f"enumerated {len(elems)} != {order}")
+    distinct = len(set(elems))
+    if len(elems) != order or distinct != order:
+        detail = f"enumerated {len(elems)}, {distinct} distinct != {order}"
+        return CheckResult(name, False, detail)
     ident = gu_identity(cls)
     ok = all(
         gu_multiply(ident, z) == z

@@ -13,7 +13,6 @@ from idempart import (
     BWord,
     Permutation,
     apply_rep,
-    block_idempotent,
     conjugate_idempotent,
     conjugate_rep,
     conjugator,
@@ -25,13 +24,10 @@ from idempart import (
     enumerate_partitions,
     enumerate_permutations,
     eta_classes,
-    factorial,
     gamma_hom,
-    gu_enumerate,
     gu_identity,
     gu_inverse,
     gu_multiply,
-    gu_order,
     orbit_of,
     p_pentagonal,
     p_via_formula,
@@ -40,6 +36,7 @@ from idempart import (
     stabilizer_bruteforce,
     stabilizer_order_formula,
     type_vector_of,
+    verify,
 )
 from idempart.formula import type_terms
 from idempart.symmetric import _conjugated
@@ -109,40 +106,16 @@ def test_criterion_5_orbit_characterization():
     report(5, True, "type criterion == orbit oracle + conjugator works, n = 1..4")
 
 
-def _gu_shapes(max_order):
-    for k in range(1, 9):
-        for m in range(1, 9):
-            if factorial(k - 1) ** m * factorial(m) <= max_order:
-                yield k, m
-
-
 def test_criterion_6_group_structure_and_gamma():
+    # the group laws of every enumerable class group, through the same
+    # check that `verify` runs: distinct elements, identity and inverse
+    # laws on each, and associativity on every pair through the induced
+    # permutation up to order 500 or on 1000 random triples above
     rng = random.Random(1257)
     shapes_checked = 0
-    for k, m in _gu_shapes(10_000):
-        cls = eta_classes(block_idempotent(((k, m),)))[0]
-        elems = list(gu_enumerate(cls))
-        order = gu_order(cls)
-        assert len(elems) == len(set(elems)) == order, (k, m)
-        ident = gu_identity(cls)
-        for z in elems:
-            assert gu_multiply(ident, z) == z, (k, m)
-            assert gu_multiply(z, ident) == z, (k, m)
-            assert gu_multiply(z, gu_inverse(z)) == ident, (k, m)
-            assert gu_multiply(gu_inverse(z), z) == ident, (k, m)
-        if order <= 500:
-            index = {z: i for i, z in enumerate(elems)}
-            table = [[index[gu_multiply(a, b)] for b in elems] for a in elems]
-            for a in range(order):
-                row_a = table[a]
-                for b in range(order):
-                    assert table[row_a[b]] == [row_a[x] for x in table[b]], (k, m)
-        else:
-            for _ in range(1000):
-                a, b, c = (rng.choice(elems) for _ in range(3))
-                assert gu_multiply(gu_multiply(a, b), c) == gu_multiply(
-                    a, gu_multiply(b, c)
-                ), (k, m)
+    for k, m in verify._gu_shapes(10_000):
+        result = verify._check_gu_shape(k, m, rng)
+        assert result.ok, result
         shapes_checked += 1
 
     # homomorphism laws, exhaustively for n <= 4

@@ -122,3 +122,41 @@ def test_every_re_exported_name_is_read_by_the_package():
         if path.name != "__init__.py":
             read.update(_names_read(ast.parse(path.read_text())))
     assert sorted(set(idempart.__all__) - read - test_references) == []
+
+
+def _named_tuple_fields(cls):
+    """Field names of a class built on NamedTuple or on namedtuple(...)."""
+    for base in cls.bases:
+        if isinstance(base, ast.Name) and base.id == "NamedTuple":
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign):
+                    yield node.target.id
+        elif isinstance(base, ast.Call) and ast.unparse(base.func) == "namedtuple":
+            fields = ast.literal_eval(base.args[1])
+            if isinstance(fields, str):
+                fields = fields.replace(",", " ").split()
+            yield from fields
+
+
+def test_every_field_and_public_method_is_read_by_the_package():
+    # Matched by name only: an attribute read anywhere in src/ counts for
+    # every class with a member of that name, so one read of
+    # Permutation.identity would hide an unread identity method elsewhere.
+    members = []
+    attributes = set()
+    for path in Path(idempart.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                methods = [
+                    item.name
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                ]
+                for name in [*_named_tuple_fields(node), *methods]:
+                    members.append(f"{node.name}.{name}")
+    assert members  # the walk found the classes
+    assert sorted(m for m in members if m.split(".")[1] not in attributes) == []

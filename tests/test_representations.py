@@ -28,8 +28,8 @@ def test_rep_from_idempotent():
     rho = rep_from_idempotent(Idempotent((1, 2, 1)))
     assert rho.action_of_b.values == (1, 2, 1)
     assert rho.n == 3
-    trivial = rep_from_idempotent(Idempotent.identity(3))
-    assert trivial.action_of_b == Idempotent.identity(3)
+    trivial = rep_from_idempotent(Idempotent(range(1, 4)))
+    assert trivial.action_of_b == Idempotent(range(1, 4))
     collapsing = rep_from_idempotent(Idempotent((1, 1, 1)))
     assert apply_rep(collapsing, BWord.GEN, 3) == 1
 

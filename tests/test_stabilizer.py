@@ -36,24 +36,30 @@ def single_class(f):
     return classes[0]
 
 
+def blocks(z):
+    """The per-member blocks of z, read as slices of its flat table."""
+    d = z.fiber_class.fiber_size - 1
+    return [z.table[i * d : i * d + d] for i in range(len(z.outer))]
+
+
 # ------------------------------------------------------------ eta classes
 
 
 def test_eta_classes_identity():
-    classes = eta_classes(Idempotent.identity(3))
-    assert classes == [FiberClass(1, (1, 2, 3), ())]
+    classes = eta_classes(Idempotent(range(1, 4)))
+    assert classes == [FiberClass(1, (1, 2, 3))]
 
 
 def test_eta_classes_constant():
     classes = eta_classes(Idempotent((1, 1, 1)))
-    assert classes == [FiberClass(3, (1,), (2, 3))]
+    assert classes == [FiberClass(3, (1,))]
 
 
 def test_eta_classes_mixed():
     classes = eta_classes(Idempotent((1, 2, 1, 4, 4)))
     assert classes == [
-        FiberClass(1, (2,), ()),
-        FiberClass(2, (1, 4), (3,)),
+        FiberClass(1, (2,)),
+        FiberClass(2, (1, 4)),
     ]
 
 
@@ -73,7 +79,7 @@ def test_eta_class_sizes_match_type_vector(idems_by_n):
 
 def test_gu_identity_and_enumerate_counts():
     # k = 1 blocks act on the empty set, only the outer part varies
-    cls = single_class(Idempotent.identity(3))
+    cls = single_class(Idempotent(range(1, 4)))
     assert gu_order(cls) == 6
     assert sum(1 for _ in gu_enumerate(cls)) == 6
 
@@ -87,7 +93,7 @@ def test_gu_identity_and_enumerate_counts():
 
 
 def test_gu_enumerate_guard():
-    cls = single_class(Idempotent.identity(9))
+    cls = single_class(Idempotent(range(1, 10)))
     with pytest.raises(ValueError):
         list(gu_enumerate(cls))
 
@@ -111,7 +117,7 @@ def test_gu_outer_swap_squares_to_identity():
 
 def test_gu_multiply_rejects_class_mismatch():
     z1 = gu_identity(single_class(Idempotent((1, 1, 1))))
-    z2 = gu_identity(single_class(Idempotent.identity(3)))
+    z2 = gu_identity(single_class(Idempotent(range(1, 4))))
     with pytest.raises(ValueError):
         gu_multiply(z1, z2)
 
@@ -122,12 +128,12 @@ def test_gu_inverse_examples():
     assert gu_inverse(gu_identity(cls)) == gu_identity(cls)
 
     # pure outer 3-cycle inverts to the reverse cycle
-    cls = single_class(Idempotent.identity(3))
+    cls = single_class(Idempotent(range(1, 4)))
     z = GUElement(cls, (), (2, 3, 1))
     assert gu_inverse(z).outer == (3, 1, 2)
 
     # pure block element inverts each block in place
-    cls = single_class(Idempotent((1, 1, 1, 1)))  # k = 4, reference has 3 points
+    cls = single_class(Idempotent((1, 1, 1, 1)))  # k = 4, blocks act on 3 points
     z = GUElement(cls, (2, 3, 1), (1,))
     inv = gu_inverse(z)
     assert inv.outer == (1,)
@@ -207,20 +213,12 @@ def test_gu_element_is_immutable():
     for field, value in (
         ("table", (9, 9, 9, 9)),
         ("outer", (1, 1)),
-        ("fiber_class", single_class(Idempotent.identity(3))),
+        ("fiber_class", single_class(Idempotent(range(1, 4)))),
     ):
         with pytest.raises(AttributeError):
             setattr(z, field, value)
     assert z == GUElement(cls, (1, 2, 2, 1), (2, 1))
     assert seen[GUElement(cls, (1, 2, 2, 1), (2, 1))] == "z"
-
-
-def test_gu_block_of_accessor():
-    cls = single_class(block_idempotent(3, 2))
-    z = gu_identity(cls)
-    assert z.block_of(cls.members[0]) == (1, 2)
-    z = GUElement(cls, (1, 2, 2, 1), (2, 1))
-    assert z.block_of(cls.members[1]) == (2, 1)
 
 
 def test_gu_table_holds_the_blocks_end_to_end():
@@ -229,28 +227,24 @@ def test_gu_table_holds_the_blocks_end_to_end():
         d = k - 1
         for z in gu_enumerate(cls):
             assert len(z.table) == m * d
-            for i, u in enumerate(cls.members):
-                assert z.table[i * d : (i + 1) * d] == z.block_of(u)
+            assert all(sorted(block) == list(range(1, k)) for block in blocks(z))
 
 
 def test_gu_blocks_round_trip_through_the_constructor():
     cls = single_class(block_idempotent(4, 2))
     z = GUElement(cls, [3, 1, 2, 2, 3, 1], (2, 1))
     assert z.table == (3, 1, 2, 2, 3, 1)
-    assert (z.block_of(cls.members[0]), z.block_of(cls.members[1])) == (
-        (3, 1, 2),
-        (2, 3, 1),
-    )
+    assert blocks(z) == [(3, 1, 2), (2, 3, 1)]
     assert GUElement(cls, z.table, z.outer) == z
     names = {"GUElement": GUElement, "FiberClass": FiberClass}
     assert eval(repr(z), names) == z
 
 
 def test_gu_table_of_fiber_size_one_is_empty():
-    cls = single_class(Idempotent.identity(3))
+    cls = single_class(Idempotent(range(1, 4)))
     z = GUElement(cls, (), (3, 1, 2))
     assert z.table == ()
-    assert all(z.block_of(u) == () for u in cls.members)
+    assert blocks(z) == [(), (), ()]
     assert all(y.table == () for y in gu_enumerate(cls))
     assert gu_multiply(z, z).table == gu_inverse(z).table == ()
 
@@ -278,7 +272,7 @@ def test_gu_enumerate_runs_outer_then_blocks_lexicographically():
             for blocks in itertools.product(base, repeat=m)
         ]
         assert [
-            (tuple(z.block_of(u) for u in cls.members), z.outer)
+            (tuple(blocks(z)), z.outer)
             for z in gu_enumerate(cls)
         ] == reference
 
@@ -308,16 +302,18 @@ def test_gamma_rejects_non_stabilizer():
 
 def test_gamma_rejects_foreign_class():
     f = Idempotent((1, 1, 1))
-    other = single_class(Idempotent.identity(3))
+    other = single_class(Idempotent(range(1, 4)))
     with pytest.raises(ValueError):
         gamma_hom(Permutation.identity(3), f, other)
 
     f = block_idempotent(3, 2)
     swap = Permutation((4, 5, 6, 1, 2, 3))
-    assert single_class(f) == FiberClass(3, (1, 4), (2, 3))
+    assert single_class(f) == FiberClass(3, (1, 4))
     for cls in (
-        FiberClass(3, (1,), (2, 3)),  # one of the two members
-        FiberClass(3, (4, 1), (5, 6)),  # members out of order
+        FiberClass(3, (1,)),  # one of the two members
+        FiberClass(3, (4, 1)),  # members out of order
+        FiberClass(2, (1, 4)),  # the right members, the wrong fiber size
+        FiberClass(2, ()),  # no fiber has 2 points, and no member is given
     ):
         for sigma in (swap, Permutation.identity(6)):
             with pytest.raises(ValueError):

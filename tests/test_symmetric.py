@@ -194,7 +194,7 @@ def test_type_vector_invariant_under_conjugation(idems_by_n, perms_by_n):
 
 
 def test_orbit_of_examples():
-    assert orbit_of(Idempotent.identity(4)) == {Idempotent.identity(4)}
+    assert orbit_of(Idempotent(range(1, 5))) == {Idempotent(range(1, 5))}
     constants = orbit_of(Idempotent((1, 1, 1)))
     assert constants == {Idempotent((c,) * 3) for c in (1, 2, 3)}
     assert len(orbit_of(Idempotent((1, 2, 1)))) == 6
@@ -204,7 +204,7 @@ def test_same_orbit_examples():
     f = Idempotent((1, 2, 1))
     assert same_orbit(f, f)
     assert same_orbit(Idempotent((1, 1, 1)), Idempotent((3, 3, 3)))
-    assert not same_orbit(Idempotent.identity(3), Idempotent((1, 1, 1)))
+    assert not same_orbit(Idempotent(range(1, 4)), Idempotent((1, 1, 1)))
     with pytest.raises(ValueError):
         same_orbit(Idempotent((1, 1)), Idempotent((1, 1, 1)))
 
@@ -249,7 +249,7 @@ def test_conjugator_examples():
 
 def test_conjugator_rejects_different_orbits():
     with pytest.raises(ValueError):
-        conjugator(Idempotent.identity(3), Idempotent((1, 1, 1)))
+        conjugator(Idempotent(range(1, 4)), Idempotent((1, 1, 1)))
 
 
 def test_conjugator_postcondition_all_pairs(idems_by_n):
@@ -262,7 +262,7 @@ def test_conjugator_postcondition_all_pairs(idems_by_n):
 
 
 def test_stabilizer_bruteforce_examples():
-    assert len(stabilizer_bruteforce(Idempotent.identity(3))) == 6
+    assert len(stabilizer_bruteforce(Idempotent(range(1, 4)))) == 6
     stab = stabilizer_bruteforce(Idempotent((1, 1, 1)))
     assert {s.forward for s in stab} == {(1, 2, 3), (1, 3, 2)}
     assert [s.forward for s in stabilizer_bruteforce(Idempotent((1, 2, 1)))] == [
@@ -291,7 +291,7 @@ def test_burnside_n3_sum_is_18(idems_by_n):
 
 def test_exhaustive_oracles_reject_n_above_the_enumeration_limit():
     n = PERMUTATION_ENUM_LIMIT + 1
-    too_big = Idempotent.identity(n)
+    too_big = Idempotent(range(1, n + 1))
     with pytest.raises(ValueError):
         orbit_of(too_big)
     with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ def test_finite_map_validation():
 
 
 def test_is_idempotent():
-    assert is_idempotent(FiniteMap.identity(5))
+    assert is_idempotent(FiniteMap(range(1, 6)))
     assert is_idempotent(FiniteMap((2, 2, 3)))
     assert not is_idempotent(FiniteMap((2, 3, 1)))
     assert not is_idempotent(FiniteMap((2, 1)))
@@ -93,7 +93,7 @@ def test_all_enumerated_maps_are_idempotent():
 
 
 def test_type_vector_of_examples():
-    assert type_vector_of(Idempotent.identity(3)) == ((1, 3),)
+    assert type_vector_of(Idempotent(range(1, 4))) == ((1, 3),)
     assert type_vector_of(Idempotent((1, 1, 1))) == ((3, 1),)
     assert type_vector_of(Idempotent((1, 2, 1))) == ((1, 1), (2, 1))
 

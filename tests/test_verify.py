@@ -213,6 +213,23 @@ def test_equivariance_fails_on_conjugation_from_the_wrong_side(monkeypatch):
     assert "equivariance" in _failed(4)
 
 
+def test_gamma_homomorphism_check_fails_on_one_wrong_image(monkeypatch):
+    # the constant map on [3] is fixed by the swap of 2 and 3, whose image
+    # swaps the fiber's two non-root points; sending it to the identity
+    # instead leaves gamma neither injective nor onto the class group
+    exact = verify.gamma_hom
+    f = block_idempotent(((3, 1),))
+    swap = Permutation((1, 3, 2))
+    assert exact(swap, f, eta_classes(f)[0]).table == (2, 1)
+
+    def gamma_hom(sigma, g, cls):
+        return gu_identity(cls) if (sigma, g) == (swap, f) else exact(sigma, g, cls)
+
+    assert "gamma-homomorphism" not in _failed(3)
+    monkeypatch.setattr(verify, "gamma_hom", gamma_hom)
+    assert _failed(3) == {"gamma-homomorphism"}
+
+
 def test_exhaustive_level_7_passes():
     results = list(verify._check_exhaustive_level(7))
     assert [r.name.split(" ")[0] for r in results] == [
@@ -331,3 +348,22 @@ def test_gu_axioms_multiplies_every_pair_on_every_shape(monkeypatch):
         order = math.factorial(k - 1) ** m * math.factorial(m)
         pairs = order**2 if order <= 500 else 4 * 1000
         assert spent[f"gu-axioms k={k} |U|={m}"] >= 4 * order + pairs, (k, m)
+
+
+@pytest.mark.parametrize("k, m", [(8, 1), (1, 7), (3, 5), (3, 4)])
+def test_gu_axioms_check_fails_on_a_repeated_element(monkeypatch, k, m):
+    # one element enumerated twice in place of another: every law still
+    # holds on the enumerated elements, only their count tells; the first
+    # three shapes lie above GU_EXHAUSTIVE_ORDER, the last at or below it
+    exact = verify.gu_enumerate
+
+    def gu_enumerate(cls):
+        elems = list(exact(cls))
+        elems[-1] = elems[1]
+        return iter(elems)
+
+    monkeypatch.setattr(verify, "gu_enumerate", gu_enumerate)
+    order = math.factorial(k - 1) ** m * math.factorial(m)
+    result = verify._check_gu_shape(k, m, random.Random(0))
+    assert not result.ok
+    assert result.detail == f"enumerated {order}, {order - 1} distinct != {order}"
