@@ -15,10 +15,8 @@ no other layer.
 
 # every re-exported name -> the submodule that defines it
 _HOME = {
-    "binomial": "combinatorics",
     "enumerate_partitions": "combinatorics",
     "exact_div": "combinatorics",
-    "factorial": "combinatorics",
     "p_pentagonal": "combinatorics",
     "count_idempotents_of_type": "formula",
     "cumulative_identity": "formula",

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Any
@@ -33,7 +34,6 @@ from .combinatorics import (
     PERMUTATION_ENUM_LIMIT,
     RemainderError,
     exact_div,
-    factorial,
     p_pentagonal,
 )
 from .formula import _type_sum_by_size, p_via_formula, type_terms
@@ -188,7 +188,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
     n = args.n
     start = time.perf_counter()
-    nfact = factorial(n)
+    nfact = math.factorial(n)
     perms = list(enumerate_permutations(n))
     rows = 0
     all_ok = True
@@ -238,7 +238,7 @@ def cmd_types(args: argparse.Namespace) -> int:
             stabilizer_order=stab,
             summand=term,
         )
-    quotient = exact_div(total, factorial(n))
+    quotient = exact_div(total, math.factorial(n))
     _emit(
         args.json,
         "types",

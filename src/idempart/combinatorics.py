@@ -1,45 +1,32 @@
 """Exact combinatorial primitives.
 
-Factorials, binomial coefficients, integer partitions as part tuples,
-and the pentagonal-number recurrence for the partition function p(n).
-Everything is exact integer arithmetic; nothing here ever rounds or
-overflows.  A fiber-size type vector is a plain sparse tuple
-((k, g(k)), ...) with k ascending and every g(k) > 0; formula.type_terms
-builds them, and _check_type rejects any other tuple.
+Integer partitions as part tuples, the pentagonal-number recurrence
+for the partition function p(n), and the exact division that the
+identities promise.  Everything is exact integer arithmetic; nothing
+here ever rounds or overflows.  Factorials and binomial coefficients
+are not wrapped here: every layer calls math.factorial and math.comb.
+A fiber-size type vector is a plain sparse tuple ((k, g(k)), ...)
+with k ascending and every g(k) > 0; formula.type_terms builds them,
+and _check_type rejects any other tuple.
 PERMUTATION_ENUM_LIMIT lives here, not in symmetric, so that the CLI's
 limits table reads it without loading the group layer.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Iterator
 
 __all__ = [
     "RemainderError",
-    "binomial",
     "enumerate_partitions",
     "exact_div",
-    "factorial",
     "p_pentagonal",
 ]
 
 # Largest n whose n! permutations symmetric.enumerate_permutations lists;
 # every exhaustive route stops there.
 PERMUTATION_ENUM_LIMIT = 8
-
-
-def factorial(n: int) -> int:
-    """Exact n! for nonnegative n."""
-    return math.factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k), zero-extended: 0 whenever k < 0 or k > n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 class RemainderError(ArithmeticError):

@@ -12,9 +12,10 @@ with g(k) > 0, ascending in k; its weight is the sum of k * g(k).
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
-from .combinatorics import _check_type, binomial, exact_div, factorial, p_pentagonal
+from .combinatorics import _check_type, exact_div, p_pentagonal
 
 __all__ = [
     "count_idempotents_of_type",
@@ -40,9 +41,9 @@ def count_idempotents_of_type(n: int, g: tuple[tuple[int, int], ...]) -> int:
     consumed = 0
     for k, gk in g:
         remaining = n - consumed
-        total *= binomial(remaining, gk)
+        total *= math.comb(remaining, gk)
         for v in range(1, gk + 1):
-            total *= binomial(remaining - gk - (v - 1) * (k - 1), k - 1)
+            total *= math.comb(remaining - gk - (v - 1) * (k - 1), k - 1)
         consumed += k * gk
     return total
 
@@ -56,7 +57,7 @@ def stabilizer_order_formula(g: tuple[tuple[int, int], ...]) -> int:
     _check_type(g)
     total = 1
     for k, gk in g:
-        total *= factorial(k - 1) ** gk * factorial(gk)
+        total *= math.factorial(k - 1) ** gk * math.factorial(gk)
     return total
 
 
@@ -91,24 +92,28 @@ def type_terms(n: int) -> Iterator[tuple[tuple[tuple[int, int], ...], int, int]]
         if k == 1:
             # every nested binomial is C(., 0) = 1 and (k-1)! = 1
             rest = n - q
-            yield ((1, rest),) + g, count * binomial(n, rest), stab * factorial(rest)
+            yield (
+                ((1, rest),) + g,
+                count * math.comb(n, rest),
+                stab * math.factorial(rest),
+            )
             continue
         # With q fixed the nested product reads prod_{w=1..g} C(q + (k-1)w, k-1),
         # so the step g -> g+1 multiplies it and (k-1)!^g * g! by one factor
         # apiece.  Children are pushed for g ascending, so the largest pops first.
-        fiber_perms = factorial(k - 1)
+        fiber_perms = math.factorial(k - 1)
         nested = 1
         stab_k = 1
         for gk in range((n - q) // k + 1):
             if gk:
-                nested *= binomial(q + (k - 1) * gk, k - 1)
+                nested *= math.comb(q + (k - 1) * gk, k - 1)
                 stab_k *= fiber_perms * gk
             r = q + k * gk
             # sizes above n - r fit in no remaining point, so g is 0 there
             stack.append((
                 min(k - 1, n - r),
                 r,
-                count * binomial(r, gk) * nested,
+                count * math.comb(r, gk) * nested,
                 stab * stab_k,
                 ((k, gk),) + g if gk else g,
             ))
@@ -127,22 +132,17 @@ def summand_direct(n: int, g: tuple[tuple[int, int], ...]) -> int:
         gk = counts.get(k, 0)
         prefix = sum(s * counts.get(s, 0) for s in range(1, k))
         total *= (
-            factorial(k - 1) ** gk
-            * factorial(gk)
-            * binomial(n - prefix, gk)
+            math.factorial(k - 1) ** gk
+            * math.factorial(gk)
+            * math.comb(n - prefix, gk)
         )
         for v in range(1, gk + 1):
-            total *= binomial(n - prefix - gk - (v - 1) * (k - 1), k - 1)
+            total *= math.comb(n - prefix - gk - (v - 1) * (k - 1), k - 1)
     return total
 
 
-def _type_sum(n: int) -> int:
-    """Sum of summand(n, g) over all weight-n type vectors, term by term."""
-    return sum(count * stab for _, count, stab in type_terms(n))
-
-
 def _type_sum_by_size(n: int, stabilizers: bool = True) -> int:
-    """The same sum as _type_sum(n), evaluated one fiber size at a time.
+    """Sum of summand(n, g) over all weight-n type vectors, size by size.
 
     Every factor a summand takes for fiber size k depends only on k, g(k)
     and the r points that smaller sizes left free, so the sum factorises
@@ -167,7 +167,7 @@ def _type_sum_by_size(n: int, stabilizers: bool = True) -> int:
         rows.append([1, *map(int.__add__, prev, prev[1:]), 1])
     s = [1] + [0] * n
     for k in range(n, 1, -1):
-        fiber_perms = factorial(k - 1)
+        fiber_perms = math.factorial(k - 1)
         nxt = s[:]
         for q in range(n - k + 1):
             carried = s[q]  # [(k-1)!^g * g!] * nested product * s[q]
@@ -184,7 +184,7 @@ def _type_sum_by_size(n: int, stabilizers: bool = True) -> int:
     # size 1 takes g = n - q: its nested binomials are C(q, 0) = 1,
     # C(r, g) = C(n, q) and (k-1)!^g * g! = (n - q)!
     return sum(
-        s[q] * rows[n][q] * (factorial(n - q) if stabilizers else 1)
+        s[q] * rows[n][q] * (math.factorial(n - q) if stabilizers else 1)
         for q in range(n + 1)
     )
 
@@ -197,7 +197,7 @@ def p_via_formula(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return exact_div(_type_sum_by_size(n), factorial(n))
+    return exact_div(_type_sum_by_size(n), math.factorial(n))
 
 
 def total_idempotents(n: int) -> int:
@@ -216,6 +216,8 @@ def cumulative_identity(m: int) -> tuple[int, int]:
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    lhs = sum(factorial(n) * p_pentagonal(n) for n in range(1, m + 1))
-    rhs = sum(_type_sum(n) for n in range(1, m + 1))
+    lhs = sum(math.factorial(n) * p_pentagonal(n) for n in range(1, m + 1))
+    rhs = sum(
+        count * stab for n in range(1, m + 1) for _, count, stab in type_terms(n)
+    )
     return lhs, rhs

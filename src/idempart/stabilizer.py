@@ -13,15 +13,18 @@ Multiplying the group orders over all classes recovers the stabilizer
 size, which depends only on the fiber-size type vector, the sparse
 tuple ((k, g(k)), ...) of sizes k with g(k) > 0, ascending in k.
 formula.stabilizer_order_formula computes it from that vector alone.
+gu_enumerate lists a class group only up to order GU_ENUM_LIMIT, the one
+cap on class groups, and verify checks the group laws on every shape
+that it lists.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from typing import Iterable, Iterator, NamedTuple
 
-from .combinatorics import factorial
 from .symmetric import Permutation, _conjugated
 from .transformations import Idempotent
 
@@ -37,7 +40,8 @@ __all__ = [
     "gu_order",
 ]
 
-GU_ENUM_LIMIT = 100_000
+# largest class-group order that gu_enumerate lists
+GU_ENUM_LIMIT = 10_000
 
 
 class FiberClass(NamedTuple):
@@ -124,7 +128,7 @@ def gu_order(cls: FiberClass) -> int:
     """Group order ((k-1)!)^|U| * |U|!."""
     k = cls.fiber_size
     m = len(cls.members)
-    return factorial(k - 1) ** m * factorial(m)
+    return math.factorial(k - 1) ** m * math.factorial(m)
 
 
 def gu_identity(cls: FiberClass) -> GUElement:

@@ -13,9 +13,10 @@ per orbit by all of them and carries its stabilizer to the orbit.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, Sequence
 
-from .combinatorics import PERMUTATION_ENUM_LIMIT, exact_div, factorial
+from .combinatorics import PERMUTATION_ENUM_LIMIT, exact_div
 from .transformations import (
     FiniteMap,
     Idempotent,
@@ -60,12 +61,6 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))
-
-    @classmethod
-    def from_mapping(cls, n: int, mapping: dict[int, int]) -> "Permutation":
-        if len(mapping) != n or not all(x in mapping for x in range(1, n + 1)):
-            raise ValueError(f"{mapping} does not map exactly the points 1..{n}")
-        return cls(mapping[x] for x in range(1, n + 1))
 
     def __call__(self, x: int) -> int:
         if not 1 <= x <= self.n:
@@ -185,14 +180,14 @@ def conjugator(f: Idempotent, g: Idempotent) -> Permutation:
     # a stable sort by fiber size keeps points of one size ascending, and
     # equal type vectors pair the two lists size for size
     roots = [sorted(h.image, key=lambda x: len(h.fibers[x])) for h in (f, g)]
-    mapping: dict[int, int] = {}
+    forward = [0] * f.n
     for x, y in zip(*roots):
-        mapping[x] = y
+        forward[x - 1] = y
         rest_src = [s for s in f.fibers[x] if s != x]
         rest_dst = [t for t in g.fibers[y] if t != y]
         for s, t in zip(rest_src, rest_dst):
-            mapping[s] = t
-    return Permutation.from_mapping(f.n, mapping)
+            forward[s - 1] = t
+    return Permutation(forward)
 
 
 def stabilizer_bruteforce(f: Idempotent) -> tuple[Permutation, ...]:
@@ -262,4 +257,4 @@ def count_orbits_burnside(n: int) -> int:
         raise ValueError(f"n must be positive, got {n}")
     perms = list(enumerate_permutations(n))
     counts, _, _ = _orbit_stats(list(enumerate_idempotents(n)), perms)
-    return exact_div(sum(counts), factorial(n))
+    return exact_div(sum(counts), math.factorial(n))

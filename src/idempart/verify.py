@@ -8,17 +8,13 @@ this harness; the test suite exercises the same identities.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
 from typing import Iterator, NamedTuple
 
-from .combinatorics import (
-    PERMUTATION_ENUM_LIMIT,
-    enumerate_partitions,
-    factorial,
-    p_pentagonal,
-)
+from .combinatorics import PERMUTATION_ENUM_LIMIT, enumerate_partitions, p_pentagonal
 from .formula import (
     _type_sum_by_size,
     count_idempotents_of_type,
@@ -30,6 +26,8 @@ from .formula import (
 )
 from .representations import BWord, apply_rep, conjugate_rep, rep_from_idempotent
 from .stabilizer import (
+    GU_ENUM_LIMIT,
+    FiberClass,
     GUElement,
     eta_classes,
     gamma_hom,
@@ -50,7 +48,6 @@ from .symmetric import (
 )
 from .transformations import (
     BRUTE_FORCE_MAP_LIMIT,
-    Idempotent,
     block_idempotent,
     enumerate_idempotents,
     enumerate_idempotents_bruteforce,
@@ -61,8 +58,6 @@ __all__ = ["CheckResult", "run_verification"]
 
 RNG_SEED = 20260810
 
-# shapes (fiber size, class size) whose groups the axiom check covers
-GU_CHECK_MAX_ORDER = 10_000
 GU_EXHAUSTIVE_ORDER = 500
 GU_RANDOM_TRIPLES = 1000
 
@@ -96,13 +91,20 @@ def _induced_permutation(z: GUElement) -> tuple[int, ...]:
     return tuple(image)
 
 
-def _gu_shapes(max_order: int) -> list[tuple[int, int]]:
+def _gu_shapes() -> list[tuple[int, int]]:
+    """Every (k, |U|) whose class group gu_enumerate lists, k then |U| ascending.
+
+    The order ((k-1)!)^|U| * |U|! never falls as k or |U| grows, so each
+    loop ends at the first order above GU_ENUM_LIMIT.
+    """
     shapes = []
-    for k in range(1, 9):
-        for m in range(1, 9):
-            if factorial(k - 1) ** m * factorial(m) <= max_order:
-                shapes.append((k, m))
-    return shapes
+    for k in itertools.count(1):
+        m = 1
+        while gu_order(FiberClass(k, tuple(range(1, m + 1)))) <= GU_ENUM_LIMIT:
+            shapes.append((k, m))
+            m += 1
+        if m == 1:
+            return shapes
 
 
 def _check_gu_shape(k: int, m: int, rng: random.Random) -> CheckResult:
@@ -151,14 +153,6 @@ def _check_gu_shape(k: int, m: int, rng: random.Random) -> CheckResult:
     return _result(name, ok, "associativity failed (random triples)")
 
 
-def _gu_order_product(f: Idempotent) -> int:
-    """Stabilizer size as the product of class-group orders."""
-    total = 1
-    for cls in eta_classes(f):
-        total *= gu_order(cls)
-    return total
-
-
 def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
     idems = list(enumerate_idempotents(n))
     perms = list(enumerate_permutations(n))
@@ -186,7 +180,8 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
     yield _result(f"stabilizer-order n={n}", ok, "formula != brute force")
 
     ok = all(
-        _gu_order_product(f) == stab for f, stab in zip(idems, stab_counts)
+        math.prod(map(gu_order, eta_classes(f))) == stab
+        for f, stab in zip(idems, stab_counts)
     )
     yield _result(f"stabilizer-class-product n={n}", ok, "class orders != brute force")
 
@@ -198,7 +193,7 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
         f"the enumerated idempotents: {partition}",
     )
 
-    nfact = factorial(n)
+    nfact = math.factorial(n)
     ok = all(
         orbit_sizes[key] * stab == nfact
         for key, stab in zip(orbit_keys, stab_counts)
@@ -282,7 +277,7 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
 
 def _check_formula_level(n: int) -> Iterator[CheckResult]:
     pn = p_pentagonal(n)
-    nfact = factorial(n)
+    nfact = math.factorial(n)
     # one pass over the terms: each summand is |Stab f| * |orbit of f| for
     # an idempotent f of its type, which orbit-stabilizer makes exactly n!
     total = 0
@@ -340,7 +335,7 @@ def run_verification(nmax_exhaustive: int, nmax_formula: int) -> Iterator[CheckR
     rng = random.Random(RNG_SEED)
     for n in range(1, nmax_exhaustive + 1):
         yield from _check_exhaustive_level(n)
-    for k, m in _gu_shapes(GU_CHECK_MAX_ORDER):
+    for k, m in _gu_shapes():
         yield _check_gu_shape(k, m, rng)
     for n in range(1, nmax_formula + 1):
         yield from _check_formula_level(n)

@@ -28,6 +28,7 @@ from idempart import (
     gu_identity,
     gu_inverse,
     gu_multiply,
+    gu_order,
     orbit_of,
     p_pentagonal,
     p_via_formula,
@@ -113,12 +114,12 @@ def test_criterion_6_group_structure_and_gamma():
     # permutation up to order 500 or on 1000 random triples above
     rng = random.Random(1257)
     shapes_checked = 0
-    for k, m in verify._gu_shapes(10_000):
+    for k, m in verify._gu_shapes():
         result = verify._check_gu_shape(k, m, rng)
         assert result.ok, result
         shapes_checked += 1
 
-    # homomorphism laws, exhaustively for n <= 4
+    # homomorphism laws and surjectivity, exhaustively for n <= 4
     for n in range(1, 5):
         perms = list(enumerate_permutations(n))
         for f in enumerate_idempotents(n):
@@ -130,6 +131,7 @@ def test_criterion_6_group_structure_and_gamma():
                     assert images[s.inverse()] == gu_inverse(images[s])
                 for s, t in itertools.product(stab, repeat=2):
                     assert gu_multiply(images[t], images[s]) == images[t * s]
+                assert len(set(images.values())) == gu_order(cls)
 
     # and on sampled stabilizer pairs at n = 5
     pairs = 0

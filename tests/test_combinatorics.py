@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -6,35 +7,14 @@ from hypothesis import strategies as st
 
 from idempart import (
     Idempotent,
-    binomial,
     enumerate_partitions,
     exact_div,
-    factorial,
     p_pentagonal,
     type_vector_of,
 )
 from idempart.formula import type_terms
 
 # ---------------------------------------------------------------- oracles
-
-
-def factorial_by_multiplication(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def pascal_table(nmax):
-    table = [[1]]
-    for n in range(1, nmax + 1):
-        prev = table[-1]
-        row = [1]
-        for k in range(1, n):
-            row.append(prev[k - 1] + prev[k])
-        row.append(1)
-        table.append(row)
-    return table
 
 
 def partitions_ascending_dfs(n):
@@ -69,61 +49,12 @@ def partition_count_dp(n):
     return dp[n]
 
 
-# ------------------------------------------------------------- factorial
-
-
-def test_factorial_small_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120 == factorial_by_multiplication(5)
-
-
-def test_factorial_exceeds_machine_range():
-    expected = factorial_by_multiplication(21)
-    assert expected == 51090942171709440000
-    assert factorial(21) == expected
-
-
-def test_factorial_recurrence():
-    for n in range(1, 41):
-        assert factorial(n) == n * factorial(n - 1)
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
-
-
-# -------------------------------------------------------------- binomial
-
-
-def test_binomial_against_pascal_table():
-    table = pascal_table(40)
-    for n in range(41):
-        for k in range(n + 1):
-            assert binomial(n, k) == table[n][k]
-    assert binomial(5, 2) == 10
-
-
-def test_binomial_zero_extension():
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-    assert binomial(-2, 0) == 0
-    for n in (0, 1, 7, 40):
-        assert binomial(n, 0) == 1
-
-
-def test_binomial_pascal_recurrence():
-    for n in range(1, 41):
-        for k in range(1, n + 1):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
 # ------------------------------------------------------------- exact_div
 
 
 def test_exact_div():
     assert exact_div(18, 6) == 3
-    assert exact_div(factorial(30), factorial(29)) == 30
+    assert exact_div(math.factorial(30), math.factorial(29)) == 30
     with pytest.raises(ArithmeticError):
         exact_div(7, 2)
 

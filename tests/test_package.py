@@ -10,10 +10,8 @@ import idempart
 
 # every name the package re-exports, in order, with the submodule defining it
 EXPORTS = [
-    ("binomial", "combinatorics"),
     ("enumerate_partitions", "combinatorics"),
     ("exact_div", "combinatorics"),
-    ("factorial", "combinatorics"),
     ("p_pentagonal", "combinatorics"),
     ("count_idempotents_of_type", "formula"),
     ("cumulative_identity", "formula"),

@@ -71,20 +71,6 @@ def test_conjugate_rep_rejects_a_non_idempotent_action():
         conjugate_rep(Representation(FiniteMap((2, 3, 1))), Permutation((2, 1, 3)))
 
 
-def test_idempotent_map_correspondence_is_equivariant(idems_by_n, perms_by_n):
-    # sigma is an isomorphism from rho onto its conjugate, point by point
-    for n in range(1, 5):
-        for f in idems_by_n[n]:
-            rho = rep_from_idempotent(f)
-            for sigma in perms_by_n[n]:
-                image = conjugate_rep(rho, sigma)
-                for w in BWord:
-                    for x in range(1, n + 1):
-                        assert apply_rep(image, w, sigma(x)) == sigma(
-                            apply_rep(rho, w, x)
-                        )
-
-
 def test_correspondence_is_bijective():
     for n in range(1, 6):
         idems = list(enumerate_idempotents(n))

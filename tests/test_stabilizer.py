@@ -8,6 +8,7 @@ from idempart import (
     GUElement,
     Idempotent,
     Permutation,
+    block_idempotent,
     eta_classes,
     gamma_hom,
     gu_enumerate,
@@ -19,15 +20,6 @@ from idempart import (
     stabilizer_order_formula,
     type_vector_of,
 )
-from idempart.symmetric import _conjugated
-
-
-def block_idempotent(k, m):
-    """Idempotent on [k*m] with m fibers of size k."""
-    values = []
-    for block in range(m):
-        values.extend([block * k + 1] * k)
-    return Idempotent(values)
 
 
 def single_class(f):
@@ -87,7 +79,7 @@ def test_gu_identity_and_enumerate_counts():
     assert gu_order(cls) == 2
     assert sum(1 for _ in gu_enumerate(cls)) == 2
 
-    cls = single_class(block_idempotent(2, 2))  # k = 2, |U| = 2
+    cls = single_class(block_idempotent(((2, 2),)))  # k = 2, |U| = 2
     assert gu_order(cls) == 2
     assert sum(1 for _ in gu_enumerate(cls)) == 2
 
@@ -100,7 +92,11 @@ def test_gu_enumerate_guard():
 
 def test_gu_identity_is_neutral():
     rng = random.Random(91)
-    for f in (block_idempotent(3, 2), block_idempotent(2, 3), Idempotent((1, 1, 1))):
+    for f in (
+        block_idempotent(((3, 2),)),
+        block_idempotent(((2, 3),)),
+        Idempotent((1, 1, 1)),
+    ):
         cls = single_class(f)
         ident = gu_identity(cls)
         elems = list(gu_enumerate(cls))
@@ -110,7 +106,7 @@ def test_gu_identity_is_neutral():
 
 
 def test_gu_outer_swap_squares_to_identity():
-    cls = single_class(block_idempotent(2, 2))
+    cls = single_class(block_idempotent(((2, 2),)))
     z = GUElement(cls, (1, 1), (2, 1))
     assert gu_multiply(z, z) == gu_identity(cls)
 
@@ -124,7 +120,7 @@ def test_gu_multiply_rejects_class_mismatch():
 
 def test_gu_inverse_examples():
     # identity inverts to itself
-    cls = single_class(block_idempotent(3, 2))
+    cls = single_class(block_idempotent(((3, 2),)))
     assert gu_inverse(gu_identity(cls)) == gu_identity(cls)
 
     # pure outer 3-cycle inverts to the reverse cycle
@@ -141,7 +137,11 @@ def test_gu_inverse_examples():
 
 
 def test_gu_inverse_law_everywhere():
-    for f in (block_idempotent(3, 2), block_idempotent(2, 3), block_idempotent(4, 1)):
+    for f in (
+        block_idempotent(((3, 2),)),
+        block_idempotent(((2, 3),)),
+        block_idempotent(((4, 1),)),
+    ):
         cls = single_class(f)
         ident = gu_identity(cls)
         for z in gu_enumerate(cls):
@@ -151,7 +151,7 @@ def test_gu_inverse_law_everywhere():
 
 def test_gu_associativity_small_shapes():
     for k, m in ((1, 3), (2, 2), (3, 1), (3, 2), (2, 3)):
-        cls = single_class(block_idempotent(k, m))
+        cls = single_class(block_idempotent(((k, m),)))
         elems = list(gu_enumerate(cls))
         if len(elems) <= 12:
             triples = itertools.product(elems, repeat=3)
@@ -166,7 +166,7 @@ def test_gu_associativity_small_shapes():
 
 
 def test_gu_element_validation():
-    cls = single_class(block_idempotent(2, 2))
+    cls = single_class(block_idempotent(((2, 2),)))
     assert GUElement(cls, [1, 1], [2, 1]) == GUElement(cls, (1, 1), (2, 1))
     with pytest.raises(ValueError):
         GUElement(cls, (1,), (1, 2))  # one block too few
@@ -177,7 +177,7 @@ def test_gu_element_validation():
     with pytest.raises(ValueError):
         GUElement(cls, (1, 1), (1, 2, 3))  # outer too long
 
-    cls = single_class(block_idempotent(3, 2))
+    cls = single_class(block_idempotent(((3, 2),)))
     with pytest.raises(ValueError):
         GUElement(cls, (1, 1, 1, 2), (1, 2))  # a block is not a bijection
     with pytest.raises(ValueError):
@@ -207,7 +207,7 @@ def test_gu_element_validation():
 
 
 def test_gu_element_is_immutable():
-    cls = single_class(block_idempotent(3, 2))
+    cls = single_class(block_idempotent(((3, 2),)))
     z = GUElement(cls, (1, 2, 2, 1), (2, 1))
     seen = {z: "z"}
     for field, value in (
@@ -223,7 +223,7 @@ def test_gu_element_is_immutable():
 
 def test_gu_table_holds_the_blocks_end_to_end():
     for k, m in ((1, 3), (2, 3), (3, 2), (4, 2), (5, 1)):
-        cls = single_class(block_idempotent(k, m))
+        cls = single_class(block_idempotent(((k, m),)))
         d = k - 1
         for z in gu_enumerate(cls):
             assert len(z.table) == m * d
@@ -231,7 +231,7 @@ def test_gu_table_holds_the_blocks_end_to_end():
 
 
 def test_gu_blocks_round_trip_through_the_constructor():
-    cls = single_class(block_idempotent(4, 2))
+    cls = single_class(block_idempotent(((4, 2),)))
     z = GUElement(cls, [3, 1, 2, 2, 3, 1], (2, 1))
     assert z.table == (3, 1, 2, 2, 3, 1)
     assert blocks(z) == [(3, 1, 2), (2, 3, 1)]
@@ -250,7 +250,7 @@ def test_gu_table_of_fiber_size_one_is_empty():
 
 
 def test_gu_hash_and_equality_run_over_table_outer_and_class():
-    cls = single_class(block_idempotent(3, 2))
+    cls = single_class(block_idempotent(((3, 2),)))
     z = GUElement(cls, (2, 1, 1, 2), (2, 1))
     key = (z.table, z.outer)
     twin = next(y for y in gu_enumerate(cls) if (y.table, y.outer) == key)
@@ -264,7 +264,7 @@ def test_gu_hash_and_equality_run_over_table_outer_and_class():
 
 def test_gu_enumerate_runs_outer_then_blocks_lexicographically():
     for k, m in ((1, 3), (2, 2), (3, 2), (3, 3), (4, 2)):
-        cls = single_class(block_idempotent(k, m))
+        cls = single_class(block_idempotent(((k, m),)))
         base = list(itertools.permutations(range(1, k)))
         reference = [
             (blocks, outer)
@@ -306,7 +306,7 @@ def test_gamma_rejects_foreign_class():
     with pytest.raises(ValueError):
         gamma_hom(Permutation.identity(3), f, other)
 
-    f = block_idempotent(3, 2)
+    f = block_idempotent(((3, 2),))
     swap = Permutation((4, 5, 6, 1, 2, 3))
     assert single_class(f) == FiberClass(3, (1, 4))
     for cls in (
@@ -320,20 +320,6 @@ def test_gamma_rejects_foreign_class():
                 gamma_hom(sigma, f, cls)
 
 
-def test_gamma_is_homomorphism_small(idems_by_n, perms_by_n):
-    for n in (3, 4):
-        for f in idems_by_n[n]:
-            stab = [s for s in perms_by_n[n] if _conjugated(f.values, s) == f.values]
-            for cls in eta_classes(f):
-                images = {s: gamma_hom(s, f, cls) for s in stab}
-                for s in stab:
-                    assert images[s.inverse()] == gu_inverse(images[s])
-                    for t in stab:
-                        assert gu_multiply(images[t], images[s]) == images[t * s]
-                # surjectivity: the stabilizer covers the whole class group
-                assert len(set(images.values())) == gu_order(cls)
-
-
 # ------------------------------------------------------- stabilizer order
 
 
@@ -341,13 +327,6 @@ def test_stabilizer_order_formula_examples():
     assert stabilizer_order_formula(((1, 4),)) == 24
     assert stabilizer_order_formula(((3, 1),)) == 2
     assert stabilizer_order_formula(((1, 1), (2, 1))) == 1
-
-
-def test_stabilizer_order_matches_bruteforce(idems_by_n):
-    for n in range(1, 6):
-        for f in idems_by_n[n]:
-            expected = len(stabilizer_bruteforce(f))
-            assert stabilizer_order_formula(type_vector_of(f)) == expected
 
 
 def test_class_group_orders_multiply_to_stabilizer_order(idems_by_n):

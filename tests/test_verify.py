@@ -350,6 +350,23 @@ def test_gu_axioms_multiplies_every_pair_on_every_shape(monkeypatch):
         assert spent[f"gu-axioms k={k} |U|={m}"] >= 4 * order + pairs, (k, m)
 
 
+def test_gu_axioms_covers_every_shape_gu_enumerate_lists():
+    # one cap: the class groups that gu_enumerate lists are exactly the
+    # shapes gu-axioms checks, and it refuses every other
+    checked = verify._gu_shapes()
+    listed = []
+    for k in range(1, 11):
+        for m in range(1, 11):
+            elements = gu_enumerate(eta_classes(block_idempotent(((k, m),)))[0])
+            if (k, m) in checked:
+                next(elements)
+                listed.append((k, m))
+            else:
+                with pytest.raises(ValueError):
+                    next(elements)
+    assert listed == checked
+
+
 @pytest.mark.parametrize("k, m", [(8, 1), (1, 7), (3, 5), (3, 4)])
 def test_gu_axioms_check_fails_on_a_repeated_element(monkeypatch, k, m):
     # one element enumerated twice in place of another: every law still
