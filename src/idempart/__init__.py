@@ -3,10 +3,12 @@
 The partition number p(n) equals the number of conjugation orbits of
 idempotent self-maps of {1, ..., n} under the symmetric group.  This
 package implements the whole chain with exact integer arithmetic:
-idempotents with their images and fibers, the conjugation action with
-explicit orbits, stabilizers and their per-fiber-size factor groups,
-the resulting closed-form product formula for p(n), and brute-force
-oracles cross-checking every identity at small n.
+idempotents, each built and checked by one constructor, with their
+images and fibers, the {e, b} representations they define, the
+conjugation action with explicit orbits, stabilizers and their
+per-fiber-size factor groups, the resulting closed-form product formula
+for p(n), and brute-force oracles cross-checking every identity at
+small n.
 
 Each name of __all__ is read from its submodule on first access
 (PEP 562), so importing the package, or one submodule through it, loads
@@ -28,7 +30,6 @@ _HOME = {
     "Representation": "representations",
     "apply_rep": "representations",
     "conjugate_rep": "representations",
-    "rep_from_idempotent": "representations",
     "FiberClass": "stabilizer",
     "GUElement": "stabilizer",
     "eta_classes": "stabilizer",
@@ -47,12 +48,10 @@ _HOME = {
     "orbit_of": "symmetric",
     "same_orbit": "symmetric",
     "stabilizer_bruteforce": "symmetric",
-    "FiniteMap": "transformations",
     "Idempotent": "transformations",
     "block_idempotent": "transformations",
     "enumerate_idempotents": "transformations",
     "enumerate_idempotents_bruteforce": "transformations",
-    "is_idempotent": "transformations",
     "type_vector_of": "transformations",
 }
 

@@ -2,8 +2,9 @@
 
 A representation on [n] is a monoid homomorphism into the self-maps of
 [n]; e must act as the identity, so the whole representation is pinned
-down by the action of b, which must be idempotent.  Conjugating a
-representation by a permutation conjugates that action.
+down by the action of b, which must be idempotent: Representation(f)
+is the representation whose generator acts as the Idempotent f.
+Conjugating a representation by a permutation conjugates that action.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ import enum
 from typing import NamedTuple
 
 from .symmetric import Permutation, conjugate_idempotent
-from .transformations import FiniteMap, Idempotent
+from .transformations import Idempotent
 
 __all__ = [
     "BWord",
     "Representation",
     "apply_rep",
     "conjugate_rep",
-    "rep_from_idempotent",
 ]
 
 
@@ -41,22 +41,13 @@ class Representation(NamedTuple):
     """A representation, stored as the action of the generator b.
 
     The identity's action is never stored; it is always id on [n].
-    action_of_b is a plain FiniteMap, so it can hold a candidate that
-    is not idempotent; conjugate_rep raises ValueError on one.
     """
 
-    action_of_b: FiniteMap
+    action_of_b: Idempotent
 
     @property
     def n(self) -> int:
         return self.action_of_b.n
-
-
-def rep_from_idempotent(f: Idempotent) -> Representation:
-    """The unique representation whose generator acts as f."""
-    if not isinstance(f, Idempotent):
-        f = Idempotent(f.values)  # raises if not idempotent
-    return Representation(f)
 
 
 def apply_rep(rho: Representation, w: BWord, x: int) -> int:
@@ -73,7 +64,6 @@ def apply_rep(rho: Representation, w: BWord, x: int) -> int:
 def conjugate_rep(rho: Representation, sigma: Permutation) -> Representation:
     """Conjugate representation: the generator acts as sigma.f.sigma^-1.
 
-    Raises ValueError if the sizes differ or the stored action is not
-    idempotent, i.e. rho is not a representation.
+    Raises ValueError if the sizes differ.
     """
     return Representation(conjugate_idempotent(rho.action_of_b, sigma))

@@ -17,12 +17,7 @@ import math
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import PERMUTATION_ENUM_LIMIT, exact_div
-from .transformations import (
-    FiniteMap,
-    Idempotent,
-    enumerate_idempotents,
-    type_vector_of,
-)
+from .transformations import Idempotent, enumerate_idempotents, type_vector_of
 
 __all__ = [
     "Permutation",
@@ -68,7 +63,7 @@ class Permutation:
         return self.forward[x - 1]
 
     def inverse(self) -> "Permutation":
-        return _permutation(self.n, self.backward, self.forward)
+        return Permutation(self.backward)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (p * q)(x) = p(q(x)), q applied first."""
@@ -76,14 +71,7 @@ class Permutation:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        # (pq)^-1 = q^-1 p^-1
-        fwd = self.forward
-        bwd = other.backward
-        return _permutation(
-            self.n,
-            tuple([fwd[v - 1] for v in other.forward]),
-            tuple([bwd[v - 1] for v in self.backward]),
-        )
+        return Permutation([self.forward[v - 1] for v in other.forward])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.forward == other.forward
@@ -93,19 +81,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.forward})"
-
-
-def _permutation(
-    n: int, forward: tuple[int, ...], backward: tuple[int, ...]
-) -> Permutation:
-    # Permutation without the constructor's bijection check, for products
-    # and inverses: those have mutually inverse bijections of [n] by
-    # construction
-    p = object.__new__(Permutation)
-    p.n = n
-    p.forward = forward
-    p.backward = backward
-    return p
 
 
 def enumerate_permutations(n: int) -> Iterator[Permutation]:
@@ -124,10 +99,10 @@ def _conjugated(values: tuple[int, ...], sigma: Permutation) -> tuple[int, ...]:
     return tuple([fwd[values[b - 1] - 1] for b in sigma.backward])
 
 
-def conjugate_idempotent(f: FiniteMap, sigma: Permutation) -> Idempotent:
+def conjugate_idempotent(f: Idempotent, sigma: Permutation) -> Idempotent:
     """Conjugate of an idempotent; the result is again idempotent.
 
-    Raises ValueError if the sizes differ or f is not idempotent.
+    Raises ValueError if the sizes differ.
     """
     if f.n != sigma.n:
         raise ValueError(f"size mismatch: map on [{f.n}], permutation on [{sigma.n}]")

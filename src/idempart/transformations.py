@@ -1,10 +1,12 @@
-"""Self-maps of [n] = {1, ..., n} and their idempotents.
+"""Idempotent self-maps of [n] = {1, ..., n}.
 
 An idempotent self-map fixes every point of its image and retracts
 every other point onto the image, so each one is determined by an
-(image, retraction) pair.  The constructive enumerator walks image sets
-and writes each retraction straight into a value tuple; a filtered
-scan of all n^n maps serves as the brute-force cross-check at small n.
+(image, retraction) pair.  Idempotent is the one map type: its
+constructor checks the values and the idempotent law.  The constructive
+enumerator walks image sets and writes each retraction straight into a
+value tuple; a filtered scan of all n^n maps serves as the brute-force
+cross-check at small n.
 """
 
 from __future__ import annotations
@@ -16,22 +18,27 @@ from typing import Iterable, Iterator
 from .combinatorics import _check_type
 
 __all__ = [
-    "FiniteMap",
     "Idempotent",
     "block_idempotent",
     "enumerate_idempotents",
     "enumerate_idempotents_bruteforce",
-    "is_idempotent",
     "type_vector_of",
 ]
 
 BRUTE_FORCE_MAP_LIMIT = 7  # 7^7 maps is the largest tolerable n^n scan
 
 
-class FiniteMap:
-    """A total map [n] -> [n], stored as a 1-based value tuple."""
+class Idempotent:
+    """An idempotent map [n] -> [n], stored as a 1-based value tuple.
 
-    __slots__ = ("n", "values")
+    image is the sorted tuple of fixed points (equivalently the set of
+    attained values); fibers maps each image point x to the sorted
+    tuple of its preimage, which always contains x.  Construction
+    raises ValueError on an empty tuple, on a value outside [1..n] and
+    on a map that is not idempotent.
+    """
+
+    __slots__ = ("n", "values", "image", "fibers")
 
     def __init__(self, values: Iterable[int]):
         values = tuple(values)
@@ -41,8 +48,16 @@ class FiniteMap:
         for v in values:
             if not 1 <= v <= n:
                 raise ValueError(f"value {v} outside [1..{n}]")
+        # f(f(x)) = f(x) for every x, i.e. every value is fixed
+        if not all(values[v - 1] == v for v in values):
+            raise ValueError(f"map {values} is not idempotent")
+        buckets: dict[int, list[int]] = {}
+        for x, v in enumerate(values, start=1):
+            buckets.setdefault(v, []).append(x)
         self.n = n
         self.values = values
+        self.image = tuple(sorted(buckets))
+        self.fibers = {x: tuple(buckets[x]) for x in self.image}
 
     def __call__(self, x: int) -> int:
         if not 1 <= x <= self.n:
@@ -50,42 +65,13 @@ class FiniteMap:
         return self.values[x - 1]
 
     def __eq__(self, other: object) -> bool:
-        # an Idempotent is equal to the plain map with the same values
-        return isinstance(other, FiniteMap) and self.values == other.values
+        return isinstance(other, Idempotent) and self.values == other.values
 
     def __hash__(self) -> int:
         return hash(self.values)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.values})"
-
-
-def is_idempotent(f: FiniteMap) -> bool:
-    """True iff f(f(x)) = f(x) for every x, i.e. every value is fixed."""
-    vals = f.values
-    return all(vals[v - 1] == v for v in vals)
-
-
-class Idempotent(FiniteMap):
-    """An idempotent self-map with eagerly cached image and fibers.
-
-    image is the sorted tuple of fixed points (equivalently the set of
-    attained values); fibers maps each image point x to the sorted
-    tuple of its preimage, which always contains x.  Construction
-    validates the idempotent law and raises ValueError otherwise.
-    """
-
-    __slots__ = ("image", "fibers")
-
-    def __init__(self, values: Iterable[int]):
-        super().__init__(values)
-        if not is_idempotent(self):
-            raise ValueError(f"map {self.values} is not idempotent")
-        buckets: dict[int, list[int]] = {}
-        for x, v in enumerate(self.values, start=1):
-            buckets.setdefault(v, []).append(x)
-        self.image = tuple(sorted(buckets))
-        self.fibers = {x: tuple(buckets[x]) for x in self.image}
+        return f"Idempotent({self.values})"
 
 
 def enumerate_idempotents_bruteforce(n: int) -> Iterator[Idempotent]:
@@ -99,17 +85,6 @@ def enumerate_idempotents_bruteforce(n: int) -> Iterator[Idempotent]:
             yield Idempotent(vals)
 
 
-def _nonempty_subsets_lex(n: int) -> Iterator[tuple[int, ...]]:
-    """Nonempty subsets of [1..n] as sorted tuples, lexicographic order."""
-    def rec(prefix: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
-        for x in range(start, n + 1):
-            cur = prefix + (x,)
-            yield cur
-            yield from rec(cur, x + 1)
-
-    yield from rec((), 1)
-
-
 def enumerate_idempotents(n: int) -> Iterator[Idempotent]:
     """Generate every idempotent on [n] exactly once, constructively.
 
@@ -119,7 +94,13 @@ def enumerate_idempotents(n: int) -> Iterator[Idempotent]:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     base = list(range(1, n + 1))
-    for image in _nonempty_subsets_lex(n):
+    # sorted tuples compare lexicographically
+    images = sorted(
+        itertools.chain.from_iterable(
+            itertools.combinations(base, r) for r in range(1, n + 1)
+        )
+    )
+    for image in images:
         image_set = set(image)
         complement = [x for x in base if x not in image_set]
         for assignment in itertools.product(image, repeat=len(complement)):

@@ -24,7 +24,7 @@ from .formula import (
     summand_direct,
     type_terms,
 )
-from .representations import BWord, apply_rep, conjugate_rep, rep_from_idempotent
+from .representations import BWord, Representation, apply_rep, conjugate_rep
 from .stabilizer import (
     GU_ENUM_LIMIT,
     FiberClass,
@@ -238,7 +238,7 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
         # rho respects products of words, and sigma intertwines rho with
         # sigma . rho; both read single points, not _conjugated's tables
         points = range(1, n + 1)
-        reps = [rep_from_idempotent(f) for f in idems]
+        reps = [Representation(f) for f in idems]
         ok = all(
             apply_rep(rho, u * w, x) == apply_rep(rho, u, apply_rep(rho, w, x))
             for rho in reps

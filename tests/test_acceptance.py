@@ -12,6 +12,7 @@ from collections import Counter
 from idempart import (
     BWord,
     Permutation,
+    Representation,
     apply_rep,
     conjugate_idempotent,
     conjugate_rep,
@@ -32,7 +33,6 @@ from idempart import (
     orbit_of,
     p_pentagonal,
     p_via_formula,
-    rep_from_idempotent,
     same_orbit,
     stabilizer_bruteforce,
     stabilizer_order_formula,
@@ -162,7 +162,7 @@ def test_criterion_7_equivariance():
     for n in range(1, 5):
         perms = list(enumerate_permutations(n))
         for f in enumerate_idempotents(n):
-            rho = rep_from_idempotent(f)
+            rho = Representation(f)
             for sigma in perms:
                 image = conjugate_rep(rho, sigma)
                 for w in BWord:

@@ -23,7 +23,6 @@ EXPORTS = [
     ("Representation", "representations"),
     ("apply_rep", "representations"),
     ("conjugate_rep", "representations"),
-    ("rep_from_idempotent", "representations"),
     ("FiberClass", "stabilizer"),
     ("GUElement", "stabilizer"),
     ("eta_classes", "stabilizer"),
@@ -42,12 +41,10 @@ EXPORTS = [
     ("orbit_of", "symmetric"),
     ("same_orbit", "symmetric"),
     ("stabilizer_bruteforce", "symmetric"),
-    ("FiniteMap", "transformations"),
     ("Idempotent", "transformations"),
     ("block_idempotent", "transformations"),
     ("enumerate_idempotents", "transformations"),
     ("enumerate_idempotents_bruteforce", "transformations"),
-    ("is_idempotent", "transformations"),
     ("type_vector_of", "transformations"),
 ]
 NAMES = [name for name, _ in EXPORTS]

@@ -55,8 +55,8 @@ def _permutations_of_one_size(count):
 def test_unchecked_product_is_a_valid_permutation(perms):
     p, q, r = perms
     pq = p * q
-    # the validating constructor accepts the forward table and derives
-    # the same backward table
+    # products come from the validating constructor, so building one again
+    # from the forward table gives the same backward table
     checked = Permutation(pq.forward)
     assert (pq.n, pq.backward) == (checked.n, checked.backward)
     assert pq.forward == tuple(p(q(x)) for x in range(1, p.n + 1))

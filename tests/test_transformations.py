@@ -1,12 +1,10 @@
 import pytest
 
 from idempart import (
-    FiniteMap,
     Idempotent,
     block_idempotent,
     enumerate_idempotents,
     enumerate_idempotents_bruteforce,
-    is_idempotent,
     type_vector_of,
 )
 from idempart.formula import type_terms
@@ -15,12 +13,12 @@ IDEMPOTENT_COUNTS = {1: 1, 2: 3, 3: 10, 4: 41, 5: 196}
 
 
 def test_finite_map_validation():
-    f = FiniteMap((2, 2, 3))
+    f = Idempotent((2, 2, 3))
     assert f(1) == 2 and f.n == 3
-    with pytest.raises(ValueError):
-        FiniteMap(())
-    with pytest.raises(ValueError):
-        FiniteMap((1, 4, 2))
+    with pytest.raises(ValueError, match="nonempty"):
+        Idempotent(())
+    with pytest.raises(ValueError, match="outside"):
+        Idempotent((1, 4, 2))
     with pytest.raises(ValueError):
         f(0)
     with pytest.raises(ValueError):
@@ -28,10 +26,12 @@ def test_finite_map_validation():
 
 
 def test_is_idempotent():
-    assert is_idempotent(FiniteMap(range(1, 6)))
-    assert is_idempotent(FiniteMap((2, 2, 3)))
-    assert not is_idempotent(FiniteMap((2, 3, 1)))
-    assert not is_idempotent(FiniteMap((2, 1)))
+    assert Idempotent(range(1, 6)).values == (1, 2, 3, 4, 5)
+    assert Idempotent((2, 2, 3)).values == (2, 2, 3)
+    with pytest.raises(ValueError, match="not idempotent"):
+        Idempotent((2, 3, 1))
+    with pytest.raises(ValueError, match="not idempotent"):
+        Idempotent((2, 1))
 
 
 def test_idempotent_construction_validates():
@@ -80,16 +80,24 @@ def test_constructive_counts():
         assert sum(1 for _ in enumerate_idempotents(n)) == count
 
 
-def test_constructive_is_deterministic():
-    first = [f.values for f in enumerate_idempotents(4)]
-    second = [f.values for f in enumerate_idempotents(4)]
-    assert first == second
+def test_constructive_order_is_image_then_retraction():
+    # image sets in lexicographic order, then the values of the points
+    # outside the image, read in ascending point order
+    def key(f):
+        return f.image, tuple(v for x, v in enumerate(f.values, 1) if v != x)
+
+    for n in range(1, 7):
+        brute = sorted(enumerate_idempotents_bruteforce(n), key=key)
+        assert [f.values for f in enumerate_idempotents(n)] == [
+            f.values for f in brute
+        ]
 
 
 def test_all_enumerated_maps_are_idempotent():
     for n in range(1, 8):
         for f in enumerate_idempotents(n):
-            assert is_idempotent(f)
+            vals = f.values
+            assert all(vals[v - 1] == v for v in vals)
 
 
 def test_type_vector_of_examples():
