@@ -5,8 +5,9 @@ emits either a plain aligned table or, with --json, one self-describing
 JSON record per line in which all integers are exact decimal strings.
 Every integer argument is checked against one limits table before the
 command runs.  Exit codes: 0 success, 1 an identity failed, 2 an
-argument outside the table.  Any other error inside a command is a bug
-and propagates as a traceback instead of being reported as a bad
+argument outside the table, 3 the output could not be written (an
+OSError such as a full disk).  Any other error inside a command is a
+bug and propagates as a traceback instead of being reported as a bad
 argument.  Each command imports the layers it runs when it runs, so
 `pn --method formula|pentagonal` and `idempotents` without --list,
 which counts size by size, never load the group layer.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from typing import Any
@@ -413,10 +415,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        # records still buffered fail here, not in the flush at exit
+        sys.stdout.flush()
+        return status
     except RemainderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # commands touch no file but stdout, so this is a failed write
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        # what stays buffered would fail again in the flush at exit and
+        # turn the exit status into 120
+        sys.stdout = open(os.devnull, "w")
+        return 3
 
 
 def run() -> None:

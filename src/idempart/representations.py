@@ -10,7 +10,8 @@ Conjugating a representation by a permutation conjugates that action.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from collections import namedtuple
+from typing import Iterable
 
 from .symmetric import Permutation, conjugate_idempotent
 from .transformations import Idempotent
@@ -37,13 +38,24 @@ class BWord(enum.Enum):
         return BWord.GEN
 
 
-class Representation(NamedTuple):
+class Representation(namedtuple("Representation", ("action_of_b",))):
     """A representation, stored as the action of the generator b.
 
-    The identity's action is never stored; it is always id on [n].
+    The identity's action is never stored; it is always id on [n].  The
+    constructor, and _make and _replace through it, raise TypeError
+    unless action_of_b is an Idempotent.
     """
 
-    action_of_b: Idempotent
+    __slots__ = ()
+
+    def __new__(cls, action_of_b: Idempotent) -> Representation:
+        if not isinstance(action_of_b, Idempotent):
+            raise TypeError(f"action_of_b must be an Idempotent, got {action_of_b!r}")
+        return tuple.__new__(cls, (action_of_b,))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Representation:
+        return cls(*iterable)
 
     @property
     def n(self) -> int:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -335,6 +336,38 @@ def test_internal_value_error_is_not_reported_as_bad_arguments(monkeypatch):
     monkeypatch.setattr(cli, "p_pentagonal", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["pn", "5", "--method", "pentagonal"])
+
+
+class _FullDisk(io.StringIO):
+    """A stdout on a full disk: every write raises, as /dev/full does."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_an_output_error_exits_3_with_one_error_line(monkeypatch, capsys):
+    full = _FullDisk()
+    monkeypatch.setattr(sys, "stdout", full)
+    assert main(["types", "20"]) == 3
+    # the rest of the output goes to the null device, so the flush at
+    # exit cannot fail again
+    assert sys.stdout is not full
+    sys.stdout.close()
+    err = capsys.readouterr().err
+    assert err == "error: cannot write the output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_an_output_error_of_a_real_process_exits_3_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "idempart", "types", "20"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def _dense_key_by_list(n, g):

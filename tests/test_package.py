@@ -24,13 +24,9 @@ EXPORTS = [
     ("apply_rep", "representations"),
     ("conjugate_rep", "representations"),
     ("FiberClass", "stabilizer"),
-    ("GUElement", "stabilizer"),
     ("eta_classes", "stabilizer"),
     ("gamma_hom", "stabilizer"),
     ("gu_enumerate", "stabilizer"),
-    ("gu_identity", "stabilizer"),
-    ("gu_inverse", "stabilizer"),
-    ("gu_multiply", "stabilizer"),
     ("gu_order", "stabilizer"),
     ("stabilizer_order_formula", "formula"),
     ("Permutation", "symmetric"),

@@ -32,6 +32,19 @@ def test_rep_from_idempotent():
     assert apply_rep(collapsing, BWord.GEN, 3) == 1
 
 
+def test_representation_rejects_a_non_idempotent_action():
+    for action in ((2, 3, 1), (1, 1, 1), Permutation((2, 3, 1)), None):
+        with pytest.raises(TypeError, match="must be an Idempotent"):
+            Representation(action)
+    rho = Representation(Idempotent((1, 1, 3)))
+    with pytest.raises(TypeError):
+        rho._replace(action_of_b=(1, 1, 3))
+    with pytest.raises(TypeError):
+        Representation._make([(1, 1, 3)])
+    assert Representation._make([rho.action_of_b]) == rho
+    assert rho._replace(action_of_b=Idempotent((1, 2))).n == 2
+
+
 def test_apply_rep():
     rho = Representation(Idempotent((1, 2, 1)))
     for x in (1, 2, 3):

@@ -4,20 +4,17 @@ import pytest
 
 from idempart import (
     FiberClass,
-    GUElement,
     Idempotent,
     Permutation,
     block_idempotent,
     eta_classes,
     gamma_hom,
     gu_enumerate,
-    gu_identity,
-    gu_inverse,
-    gu_multiply,
     gu_order,
     stabilizer_bruteforce,
     stabilizer_order_formula,
     type_vector_of,
+    verify,
 )
 
 
@@ -27,10 +24,8 @@ def single_class(f):
     return classes[0]
 
 
-def blocks(z):
-    """The per-member blocks of z, read as slices of its flat table."""
-    d = z.fiber_class.fiber_size - 1
-    return [z.table[i * d : i * d + d] for i in range(len(z.outer))]
+def elements(k, m):
+    return list(gu_enumerate(single_class(block_idempotent(((k, m),)))))
 
 
 # ------------------------------------------------------------ eta classes
@@ -89,147 +84,66 @@ def test_gu_enumerate_guard():
         list(gu_enumerate(cls))
 
 
+def test_gu_enumerate_is_the_stabilizer_of_the_block_idempotent():
+    # against the brute-force stabilizer, on every listed shape that it
+    # can enumerate
+    shapes = [(k, m) for k, m in verify._gu_shapes() if k * m <= 7]
+    assert len(shapes) == 16
+    for k, m in shapes:
+        f = block_idempotent(((k, m),))
+        assert set(gu_enumerate(single_class(f))) == set(stabilizer_bruteforce(f))
+
+
 def test_gu_outer_swap_squares_to_identity():
-    cls = single_class(block_idempotent(((2, 2),)))
-    z = GUElement(cls, (1, 1), (2, 1))
-    assert gu_multiply(z, z) == gu_identity(cls)
-
-
-def test_gu_multiply_rejects_class_mismatch():
-    z1 = gu_identity(single_class(Idempotent((1, 1, 1))))
-    z2 = gu_identity(single_class(Idempotent(range(1, 4))))
-    with pytest.raises(ValueError):
-        gu_multiply(z1, z2)
+    swap = Permutation((3, 4, 1, 2))
+    assert swap in elements(2, 2)
+    assert swap * swap == Permutation.identity(4)
 
 
 def test_gu_inverse_examples():
     # identity inverts to itself
-    cls = single_class(block_idempotent(((3, 2),)))
-    assert gu_inverse(gu_identity(cls)) == gu_identity(cls)
+    ident = Permutation.identity(6)
+    assert ident in elements(3, 2)
+    assert ident.inverse() == ident
 
     # pure outer 3-cycle inverts to the reverse cycle
-    cls = single_class(Idempotent(range(1, 4)))
-    z = GUElement(cls, (), (2, 3, 1))
-    assert gu_inverse(z).outer == (3, 1, 2)
+    z = Permutation((2, 3, 1))
+    assert z in elements(1, 3)
+    assert z.inverse() == Permutation((3, 1, 2))
 
-    # pure block element inverts each block in place
-    cls = single_class(Idempotent((1, 1, 1, 1)))  # k = 4, blocks act on 3 points
-    z = GUElement(cls, (2, 3, 1), (1,))
-    inv = gu_inverse(z)
-    assert inv.outer == (1,)
-    assert inv.table == (3, 1, 2)
-
-
-def test_gu_element_validation():
-    cls = single_class(block_idempotent(((2, 2),)))
-    assert GUElement(cls, [1, 1], [2, 1]) == GUElement(cls, (1, 1), (2, 1))
-    with pytest.raises(ValueError):
-        GUElement(cls, (1,), (1, 2))  # one block too few
-    with pytest.raises(ValueError):
-        GUElement(cls, (1, 2) * 2, (1, 2))  # blocks on k points
-    with pytest.raises(ValueError):
-        GUElement(cls, (), (1, 2))  # blocks on k - 2 points
-    with pytest.raises(ValueError):
-        GUElement(cls, (1, 1), (1, 2, 3))  # outer too long
-
-    cls = single_class(block_idempotent(((3, 2),)))
-    with pytest.raises(ValueError):
-        GUElement(cls, (1, 1, 1, 2), (1, 2))  # a block is not a bijection
-    with pytest.raises(ValueError):
-        GUElement(cls, (1, 2, 2, 3), (1, 2))  # a block leaves 1..k-1
-    with pytest.raises(ValueError):
-        GUElement(cls, (1, 2, 1, 2), (1, 1))  # outer is not a bijection
-    with pytest.raises(ValueError):
-        GUElement(cls, (1, 2, 1, 2), (0, 1))  # outer leaves 1..|U|
-    with pytest.raises(ValueError):
-        GUElement(cls, (1, 2, 1, 2, 1, 2), (1, 2))  # one block too many
-    with pytest.raises(ValueError):
-        # a bijection of 1..|U|*(k-1) whose blocks are not bijections of 1..k-1
-        GUElement(cls, (3, 4, 1, 2), (1, 2))
-
-    # every public way to build an element runs the same checks
-    z = GUElement(cls, (1, 2, 2, 1), (2, 1))
-    with pytest.raises(ValueError):
-        GUElement(fiber_class=cls, table=(1, 1, 1, 2), outer=(1, 2))
-    with pytest.raises(ValueError):
-        GUElement._make((cls, (1, 1, 1, 2), (1, 2)))
-    with pytest.raises(ValueError):
-        z._replace(table=(1, 1, 1, 2))
-    with pytest.raises(ValueError):
-        z._replace(outer=(1, 1))
-    assert GUElement._make((cls, [1, 2, 2, 1], [2, 1])) == z
-    assert z._replace(outer=(1, 2)) == GUElement(cls, (1, 2, 2, 1), (1, 2))
-
-
-def test_gu_element_is_immutable():
-    cls = single_class(block_idempotent(((3, 2),)))
-    z = GUElement(cls, (1, 2, 2, 1), (2, 1))
-    seen = {z: "z"}
-    for field, value in (
-        ("table", (9, 9, 9, 9)),
-        ("outer", (1, 1)),
-        ("fiber_class", single_class(Idempotent(range(1, 4)))),
-    ):
-        with pytest.raises(AttributeError):
-            setattr(z, field, value)
-    assert z == GUElement(cls, (1, 2, 2, 1), (2, 1))
-    assert seen[GUElement(cls, (1, 2, 2, 1), (2, 1))] == "z"
+    # pure block element inverts the block in place, root fixed
+    z = Permutation((1, 3, 4, 2))
+    assert z in elements(4, 1)
+    assert z.inverse() == Permutation((1, 4, 2, 3))
+    assert z.inverse() in elements(4, 1)
 
 
 def test_gu_table_holds_the_blocks_end_to_end():
+    # member i owns the points i*k+1 .. i*k+k, root first, and every
+    # element carries each member's block onto one member's block, root
+    # to root
     for k, m in ((1, 3), (2, 3), (3, 2), (4, 2), (5, 1)):
-        cls = single_class(block_idempotent(((k, m),)))
-        d = k - 1
-        for z in gu_enumerate(cls):
-            assert len(z.table) == m * d
-            assert all(sorted(block) == list(range(1, k)) for block in blocks(z))
-
-
-def test_gu_blocks_round_trip_through_the_constructor():
-    cls = single_class(block_idempotent(((4, 2),)))
-    z = GUElement(cls, [3, 1, 2, 2, 3, 1], (2, 1))
-    assert z.table == (3, 1, 2, 2, 3, 1)
-    assert blocks(z) == [(3, 1, 2), (2, 3, 1)]
-    assert GUElement(cls, z.table, z.outer) == z
-    names = {"GUElement": GUElement, "FiberClass": FiberClass}
-    assert eval(repr(z), names) == z
-
-
-def test_gu_table_of_fiber_size_one_is_empty():
-    cls = single_class(Idempotent(range(1, 4)))
-    z = GUElement(cls, (), (3, 1, 2))
-    assert z.table == ()
-    assert blocks(z) == [(), (), ()]
-    assert all(y.table == () for y in gu_enumerate(cls))
-    assert gu_multiply(z, z).table == gu_inverse(z).table == ()
-
-
-def test_gu_hash_and_equality_run_over_table_outer_and_class():
-    cls = single_class(block_idempotent(((3, 2),)))
-    z = GUElement(cls, (2, 1, 1, 2), (2, 1))
-    key = (z.table, z.outer)
-    twin = next(y for y in gu_enumerate(cls) if (y.table, y.outer) == key)
-    assert twin is not z
-    assert twin == z and hash(twin) == hash(z)
-    assert GUElement(cls, (1, 2, 2, 1), (2, 1)) != z
-    assert GUElement(cls, (2, 1, 1, 2), (1, 2)) != z
-    other = cls._replace(members=tuple(u + 100 for u in cls.members))
-    assert GUElement(other, z.table, z.outer) != z
+        for z in elements(k, m):
+            assert z.n == k * m
+            for i in range(m):
+                image = z.forward[i * k : i * k + k]
+                root = image[0]
+                assert (root - 1) % k == 0
+                assert sorted(image) == list(range(root, root + k))
 
 
 def test_gu_enumerate_runs_outer_then_blocks_lexicographically():
     for k, m in ((1, 3), (2, 2), (3, 2), (3, 3), (4, 2)):
-        cls = single_class(block_idempotent(((k, m),)))
         base = list(itertools.permutations(range(1, k)))
-        reference = [
-            (blocks, outer)
-            for outer in itertools.permutations(range(1, m + 1))
-            for blocks in itertools.product(base, repeat=m)
-        ]
-        assert [
-            (tuple(blocks(z)), z.outer)
-            for z in gu_enumerate(cls)
-        ] == reference
+        reference = []
+        for outer in itertools.permutations(range(m)):
+            for blocks in itertools.product(base, repeat=m):
+                forward = []
+                for target, block in zip(outer, blocks):
+                    root = target * k + 1
+                    forward += [root] + [root + v for v in block]
+                reference.append(tuple(forward))
+        assert [z.forward for z in elements(k, m)] == reference
 
 
 # ------------------------------------------------------------- gamma hom
@@ -238,15 +152,21 @@ def test_gu_enumerate_runs_outer_then_blocks_lexicographically():
 def test_gamma_of_identity_is_identity():
     f = Idempotent((1, 1, 3, 3, 5))
     for cls in eta_classes(f):
-        assert gamma_hom(Permutation.identity(5), f, cls) == gu_identity(cls)
+        ident = Permutation.identity(cls.fiber_size * len(cls.members))
+        assert gamma_hom(Permutation.identity(5), f, cls) == ident
 
 
 def test_gamma_constant_map_example():
     f = Idempotent((1, 1, 1))
     cls = single_class(f)
-    z = gamma_hom(Permutation((1, 3, 2)), f, cls)
-    assert z.outer == (1,)
-    assert z.table == (2, 1)
+    assert gamma_hom(Permutation((1, 3, 2)), f, cls) == Permutation((1, 3, 2))
+
+    # the fibers (1, 2, 6) and (3, 4, 5), rooted at 2 and 5, trade
+    # places: the rest (1, 6) of the first lands reversed on (3, 4), the
+    # rest (3, 4) of the second in order on (1, 6)
+    f = Idempotent((2, 2, 5, 5, 5, 2))
+    z = gamma_hom(Permutation((4, 5, 1, 6, 2, 3)), f, single_class(f))
+    assert z == Permutation((4, 6, 5, 1, 2, 3))
 
 
 def test_gamma_rejects_non_stabilizer():

@@ -1,10 +1,7 @@
 import functools
 import math
-import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from idempart import (
     block_idempotent,
@@ -17,25 +14,8 @@ from idempart import (
 )
 from idempart.cli import main
 from idempart.combinatorics import RemainderError
-from idempart.stabilizer import (
-    GUElement,
-    _element,
-    eta_classes,
-    gu_enumerate,
-    gu_identity,
-    gu_inverse,
-    gu_multiply,
-    gu_order,
-)
+from idempart.stabilizer import eta_classes, gu_enumerate, gu_order
 from idempart.symmetric import Permutation, _conjugated
-
-# every shape (k, |U|) with k = 1..5 whose class group has at most 1296 elements
-SHAPES = [
-    (k, m)
-    for k in range(1, 6)
-    for m in range(1, 6)
-    if gu_order(eta_classes(block_idempotent(((k, m),)))[0]) <= 1296
-]
 
 
 @functools.lru_cache(maxsize=None)
@@ -43,57 +23,15 @@ def _elements(k, m):
     return list(gu_enumerate(eta_classes(block_idempotent(((k, m),)))[0]))
 
 
-def _rho(z):
-    return Permutation(verify._induced_permutation(z))
-
-
-@settings(deadline=None)
-@given(data=st.data())
-def test_induced_action_is_faithful_and_multiplicative(data):
-    k, m = data.draw(st.sampled_from(SHAPES))
-    elems = _elements(k, m)
-    a, b = (data.draw(st.sampled_from(elems)) for _ in range(2))
-    assert (_rho(a) == _rho(b)) == (a == b)
-    assert _rho(verify.gu_multiply(a, b)) == _rho(a) * _rho(b)
-
-
-def _blocks(z):
-    """The per-member blocks of z, read as slices of its flat table."""
-    d = z.fiber_class.fiber_size - 1
-    return [z.table[i * d : i * d + d] for i in range(len(z.outer))]
-
-
-@settings(deadline=None)
-@given(data=st.data())
-def test_table_product_and_inverse_match_permutation_objects(data):
-    # the twisted product and inverse, recomputed block by block through
-    # Permutation objects as an independent oracle
-    k, m = data.draw(st.sampled_from(SHAPES))
-    elems = _elements(k, m)
-    a, b = (data.draw(st.sampled_from(elems)) for _ in range(2))
-    ab = gu_multiply(a, b)
-    assert ab.fiber_class == a.fiber_class
-    assert _blocks(ab) == [
-        (Permutation(_blocks(a)[j - 1]) * Permutation(_blocks(b)[i])).forward
-        for i, j in enumerate(b.outer)
-    ]
-    assert ab.outer == (Permutation(a.outer) * Permutation(b.outer)).forward
-    inv = gu_inverse(a)
-    outer_inv = Permutation(a.outer).inverse()
-    assert _blocks(inv) == [
-        Permutation(_blocks(a)[j - 1]).inverse().forward for j in outer_inv.forward
-    ]
-    assert inv.outer == outer_inv.forward
-
-
 def test_induced_action_stabilizes_the_block_idempotent():
-    # rho(z) is the stabilizing permutation that z stands for
+    # each element is the stabilizing permutation that it stands for,
+    # and gamma maps it to itself
     for k, m in ((1, 3), (2, 2), (3, 2), (4, 1)):
         f = block_idempotent(((k, m),))
+        cls = eta_classes(f)[0]
         for z in _elements(k, m):
-            sigma = _rho(z)
-            assert conjugate_idempotent(f, sigma) == f
-            assert gamma_hom(sigma, f, z.fiber_class) == z
+            assert conjugate_idempotent(f, z) == f
+            assert gamma_hom(z, f, cls) == z
 
 
 def _full_sweep(idems, perms):
@@ -220,10 +158,12 @@ def test_gamma_homomorphism_check_fails_on_one_wrong_image(monkeypatch):
     exact = verify.gamma_hom
     f = block_idempotent(((3, 1),))
     swap = Permutation((1, 3, 2))
-    assert exact(swap, f, eta_classes(f)[0]).table == (2, 1)
+    assert exact(swap, f, eta_classes(f)[0]) == swap
 
     def gamma_hom(sigma, g, cls):
-        return gu_identity(cls) if (sigma, g) == (swap, f) else exact(sigma, g, cls)
+        if (sigma, g) == (swap, f):
+            return Permutation.identity(3)
+        return exact(sigma, g, cls)
 
     assert "gamma-homomorphism" not in _failed(3)
     monkeypatch.setattr(verify, "gamma_hom", gamma_hom)
@@ -244,112 +184,107 @@ def test_exhaustive_level_7_passes():
     assert all(r.ok for r in results), [r for r in results if not r.ok]
 
 
-def _patched_product(monkeypatch, k, m, replace):
-    """Make verify.gu_multiply return replace(a * b) for one pair (a, b)
-    that no identity or inverse law multiplies."""
-    elems = _elements(k, m)
-    exact = verify.gu_multiply
-    ident = gu_identity(elems[0].fiber_class)
-    a, b = next(
-        (a, b)
-        for a in elems
-        for b in elems
-        if ident not in (a, b, exact(a, b))
-    )
+def _check_with(monkeypatch, k, m, change):
+    """Run the gu-axioms check of (k, m) on change(the enumerated elements)."""
+    exact = verify.gu_enumerate
 
-    def gu_multiply(z1, z2):
-        product = exact(z1, z2)
-        return replace(product) if (z1, z2) == (a, b) else product
+    def changed(cls):
+        return iter(change(list(exact(cls))))
 
-    monkeypatch.setattr(verify, "gu_multiply", gu_multiply)
+    monkeypatch.setattr(verify, "gu_enumerate", changed)
+    result = verify._check_gu_shape(k, m)
+    assert result.name == f"gu-axioms k={k} |U|={m}"
+    assert not result.ok
+    return result.detail
+
+
+def test_gu_axioms_check_passes_and_draws_no_random_numbers():
+    assert verify._check_gu_shape(3, 2).ok
+    assert "random" not in vars(verify)
+
+
+def test_gu_axioms_check_fails_on_a_dropped_element(monkeypatch):
+    detail = _check_with(monkeypatch, 3, 4, lambda elems: elems[:-1])
+    assert detail == "enumerated 383, 383 distinct != 384"
+
+
+def test_gu_axioms_check_fails_on_an_element_that_does_not_commute(monkeypatch):
+    # the swap of the first member's root with its first non-root point
+    # moves a fiber's root off the image of the block idempotent
+    bad = Permutation((2, 1, 3, 4, 5, 6))
+
+    def swap_in(elems):
+        elems[5] = bad
+        return elems
+
+    detail = _check_with(monkeypatch, 3, 2, swap_in)
+    assert detail == f"{bad} does not commute with {block_idempotent(((3, 2),))}"
 
 
 def test_gu_axioms_check_fails_on_a_product_outside_the_group(monkeypatch):
-    k, m = 3, 2
-    # a flat table of |U| segments on k points instead of k - 1: no
-    # element of the class
-    _patched_product(
-        monkeypatch,
-        k,
-        m,
-        lambda z: _element(z.fiber_class, tuple(range(1, k + 1)) * m, z.outer),
+    # a generator that no element equals: the identity times it is the
+    # first product outside the enumerated group
+    bad = Permutation((1, 2, 4, 3, 5, 6))
+    assert bad not in _elements(3, 2)
+    exact = verify._gu_generators
+    monkeypatch.setattr(
+        verify, "_gu_generators", lambda k, m: [*exact(k, m)[:-1], bad.forward]
     )
-    result = verify._check_gu_shape(k, m, random.Random(0))
+    result = verify._check_gu_shape(3, 2)
     assert not result.ok
-    assert result.detail == "associativity failed (exhaustive)"
+    assert result.detail == f"{Permutation.identity(6)} * {bad} is not enumerated"
 
 
-def test_gu_axioms_check_fails_on_a_product_of_another_class(monkeypatch):
-    k, m = 3, 2
-
-    def elsewhere(z):
-        cls = z.fiber_class
-        other = cls._replace(members=tuple(u + 100 for u in cls.members))
-        return GUElement(other, z.table, z.outer)
-
-    _patched_product(monkeypatch, k, m, elsewhere)
-    result = verify._check_gu_shape(k, m, random.Random(0))
+def test_gu_axioms_check_fails_when_the_generators_reach_too_few(monkeypatch):
+    # without the member swap the closure is the transposition of member
+    # 0's two non-root points: 2 of the 8 elements of S_2 wr S_2
+    exact = verify._gu_generators
+    monkeypatch.setattr(verify, "_gu_generators", lambda k, m: exact(k, m)[:-1])
+    result = verify._check_gu_shape(3, 2)
     assert not result.ok
-    assert result.detail == "associativity failed (exhaustive)"
+    assert result.detail == "the generators reach 2 of 8"
 
 
-def test_gu_axioms_check_catches_one_wrong_product(monkeypatch):
-    k, m = 3, 2
-    assert verify._check_gu_shape(k, m, random.Random(0)).ok
-    elems = _elements(k, m)
-    exact = verify.gu_multiply
-    ident = gu_identity(elems[0].fiber_class)
-    # a pair that no identity or inverse law multiplies
-    a, b = next(
-        (a, b)
-        for a in elems
-        for b in elems
-        if ident not in (a, b, exact(a, b))
-    )
-    wrong = next(z for z in elems if z != exact(a, b))
-
-    def gu_multiply(z1, z2):
-        return wrong if (z1, z2) == (a, b) else exact(z1, z2)
-
-    monkeypatch.setattr(verify, "gu_multiply", gu_multiply)
-    result = verify._check_gu_shape(k, m, random.Random(0))
-    assert result.name == "gu-axioms k=3 |U|=2"
-    assert not result.ok
-    assert result.detail == "associativity failed (exhaustive)"
+def _closure(generators, n):
+    """The group that generators generate in S_n, by Permutation products."""
+    reached = {Permutation.identity(n)}
+    frontier = list(reached)
+    while frontier:
+        frontier = {z * g for z in frontier for g in generators} - reached
+        reached |= frontier
+    return reached
 
 
-def test_gu_axioms_multiplies_every_pair_on_every_shape(monkeypatch):
-    # the 27 shapes of order <= 10,000, each checked with at least the
-    # products its laws need: the identity and inverse laws on every
-    # element, then every pair up to order 500 and 1000 triples above
-    calls = 0
-    exact = verify.gu_multiply
+def test_gu_axioms_closes_the_generators_on_every_shape(monkeypatch):
+    # the 27 shapes of order <= 10,000 in order, and on each the
+    # generators that the check closes under generate exactly the
+    # enumerated class group, of gu_order elements
+    generators = {}
+    exact = verify._gu_generators
 
-    def gu_multiply(z1, z2):
-        nonlocal calls
-        calls += 1
-        return exact(z1, z2)
+    def recording(k, m):
+        generators[k, m] = [Permutation(g) for g in exact(k, m)]
+        return exact(k, m)
 
-    monkeypatch.setattr(verify, "gu_multiply", gu_multiply)
-    spent = {}
-    before = 0
+    monkeypatch.setattr(verify, "_gu_generators", recording)
+    names = []
     for result in verify.run_verification(1, 1):
         if result.name.startswith("gu-axioms"):
             assert result.ok, result
-            spent[result.name] = calls - before
-        before = calls
+            names.append(result.name)
     shapes = [
         (k, m)
         for k, top in ((1, 7), (2, 7), (3, 5), (4, 3), (5, 2), (6, 1), (7, 1), (8, 1))
         for m in range(1, top + 1)
     ]
-    assert list(spent) == [f"gu-axioms k={k} |U|={m}" for k, m in shapes]
+    assert names == [f"gu-axioms k={k} |U|={m}" for k, m in shapes]
+    assert list(generators) == shapes
     for k, m in shapes:
         order = math.factorial(k - 1) ** m * math.factorial(m)
-        pairs = order**2 if order <= 500 else 4 * 1000
-        assert spent[f"gu-axioms k={k} |U|={m}"] >= 4 * order + pairs, (k, m)
-
-
+        group = _closure(generators[k, m], k * m)
+        assert len(generators[k, m]) <= 4
+        assert len(group) == order, (k, m)
+        assert group == set(_elements(k, m)), (k, m)
 def test_gu_axioms_covers_every_shape_gu_enumerate_lists():
     # one cap: the class groups that gu_enumerate lists are exactly the
     # shapes gu-axioms checks, and it refuses every other
@@ -369,18 +304,12 @@ def test_gu_axioms_covers_every_shape_gu_enumerate_lists():
 
 @pytest.mark.parametrize("k, m", [(8, 1), (1, 7), (3, 5), (3, 4)])
 def test_gu_axioms_check_fails_on_a_repeated_element(monkeypatch, k, m):
-    # one element enumerated twice in place of another: every law still
-    # holds on the enumerated elements, only their count tells; the first
-    # three shapes lie above GU_EXHAUSTIVE_ORDER, the last at or below it
-    exact = verify.gu_enumerate
-
-    def gu_enumerate(cls):
-        elems = list(exact(cls))
+    # one element enumerated twice in place of another: every element
+    # still lies in the group, only their count of distinct ones tells
+    def repeat(elems):
         elems[-1] = elems[1]
-        return iter(elems)
+        return elems
 
-    monkeypatch.setattr(verify, "gu_enumerate", gu_enumerate)
     order = math.factorial(k - 1) ** m * math.factorial(m)
-    result = verify._check_gu_shape(k, m, random.Random(0))
-    assert not result.ok
-    assert result.detail == f"enumerated {order}, {order - 1} distinct != {order}"
+    detail = _check_with(monkeypatch, k, m, repeat)
+    assert detail == f"enumerated {order}, {order - 1} distinct != {order}"
