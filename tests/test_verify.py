@@ -2,6 +2,8 @@ import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idempart import (
     block_idempotent,
@@ -9,6 +11,7 @@ from idempart import (
     enumerate_idempotents,
     enumerate_permutations,
     gamma_hom,
+    stabilizer_bruteforce,
     symmetric,
     verify,
 )
@@ -18,9 +21,85 @@ from idempart.stabilizer import eta_classes, gu_enumerate, gu_order
 from idempart.symmetric import Permutation, _conjugated
 
 
+# every shape (k, |U|) with k = 1..5 whose class group has at most 1296 elements
+SHAPES = [
+    (k, m)
+    for k in range(1, 6)
+    for m in range(1, 6)
+    if gu_order(eta_classes(block_idempotent(((k, m),)))[0]) <= 1296
+]
+
+
 @functools.lru_cache(maxsize=None)
 def _elements(k, m):
     return list(gu_enumerate(eta_classes(block_idempotent(((k, m),)))[0]))
+
+
+@functools.lru_cache(maxsize=None)
+def _stabilized(n):
+    """Every idempotent on [n] with its brute-force stabilizer."""
+    return [(f, stabilizer_bruteforce(f)) for f in enumerate_idempotents(n)]
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_induced_action_is_faithful_and_multiplicative(data):
+    # gamma_hom, class by class, is the action that a stabilizing
+    # permutation induces on the fibers of each class: together the
+    # classes tell every two stabilizing permutations apart, and each
+    # class turns products into products
+    f, stab = data.draw(st.sampled_from(_stabilized(data.draw(st.integers(1, 5)))))
+    s, t = (data.draw(st.sampled_from(stab)) for _ in range(2))
+    classes = eta_classes(f)
+
+    def induced(sigma):
+        return tuple(gamma_hom(sigma, f, cls) for cls in classes)
+
+    assert (induced(s) == induced(t)) == (s == t)
+    assert induced(t * s) == tuple(a * b for a, b in zip(induced(t), induced(s)))
+
+
+def _layout(z, k):
+    """The outer part of z, members from 0, and the per-member blocks of
+    z on 1..k-1, read from its forward table."""
+    roots = z.forward[::k]
+    blocks = [
+        tuple(v - root for v in z.forward[i * k + 1 : i * k + k])
+        for i, root in enumerate(roots)
+    ]
+    return tuple((root - 1) // k for root in roots), blocks
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_table_product_and_inverse_match_permutation_objects(data):
+    # the product that the gu-axioms check composes on forward tables is
+    # Permutation's, and it and the inverse are the wreath product's,
+    # recomputed block by block through Permutation objects as an
+    # independent oracle; both stay in the enumerated group
+    k, m = data.draw(st.sampled_from(SHAPES))
+    elems = _elements(k, m)
+    a, b = (data.draw(st.sampled_from(elems)) for _ in range(2))
+    ab = a * b
+    assert ab.forward == tuple(a.forward[v - 1] for v in b.forward)
+    assert ab in elems
+    outer_a, blocks_a = _layout(a, k)
+    outer_b, blocks_b = _layout(b, k)
+    assert _layout(ab, k) == (
+        tuple(outer_a[j] for j in outer_b),
+        [
+            (Permutation(blocks_a[j]) * Permutation(blocks_b[i])).forward
+            for i, j in enumerate(outer_b)
+        ],
+    )
+    inv = a.inverse()
+    assert inv.forward == a.backward
+    assert inv in elems
+    outer_inv = Permutation(j + 1 for j in outer_a).inverse()
+    assert _layout(inv, k) == (
+        tuple(j - 1 for j in outer_inv.forward),
+        [Permutation(blocks_a[j - 1]).inverse().forward for j in outer_inv.forward],
+    )
 
 
 def test_induced_action_stabilizes_the_block_idempotent():
@@ -235,6 +314,22 @@ def test_gu_axioms_check_fails_on_a_product_outside_the_group(monkeypatch):
     assert result.detail == f"{Permutation.identity(6)} * {bad} is not enumerated"
 
 
+def test_gu_axioms_check_fails_on_a_product_of_another_class(monkeypatch):
+    # a generator of the class group of three fibers of size 2, which
+    # acts on the same six points: the swap of its members 0 and 1 sends
+    # the root of member 0 of three fibers of size 3 to a non-root point
+    bad = Permutation((3, 4, 1, 2, 5, 6))
+    assert bad in _elements(2, 3)
+    assert bad not in _elements(3, 2)
+    exact = verify._gu_generators
+    monkeypatch.setattr(
+        verify, "_gu_generators", lambda k, m: [*exact(k, m)[:-1], bad.forward]
+    )
+    result = verify._check_gu_shape(3, 2)
+    assert not result.ok
+    assert result.detail == f"{Permutation.identity(6)} * {bad} is not enumerated"
+
+
 def test_gu_axioms_check_fails_when_the_generators_reach_too_few(monkeypatch):
     # without the member swap the closure is the transposition of member
     # 0's two non-root points: 2 of the 8 elements of S_2 wr S_2
@@ -285,6 +380,8 @@ def test_gu_axioms_closes_the_generators_on_every_shape(monkeypatch):
         assert len(generators[k, m]) <= 4
         assert len(group) == order, (k, m)
         assert group == set(_elements(k, m)), (k, m)
+
+
 def test_gu_axioms_covers_every_shape_gu_enumerate_lists():
     # one cap: the class groups that gu_enumerate lists are exactly the
     # shapes gu-axioms checks, and it refuses every other
