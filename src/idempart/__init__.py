@@ -30,8 +30,6 @@ _HOME = {
     "Representation": "representations",
     "apply_rep": "representations",
     "conjugate_rep": "representations",
-    "FiberClass": "stabilizer",
-    "eta_classes": "stabilizer",
     "gamma_hom": "stabilizer",
     "gu_enumerate": "stabilizer",
     "gu_order": "stabilizer",

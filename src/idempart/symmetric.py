@@ -36,7 +36,9 @@ class Permutation:
 
     forward[x-1] is the image of x; backward is the inverse table.
     The empty permutation (n = 0) is allowed, it is the identity of
-    the symmetric group on the empty set.
+    the symmetric group on the empty set.  The slots are set once, by
+    the constructor: assigning or deleting one raises AttributeError,
+    so a permutation keeps its hash while a set or dict holds it.
     """
 
     __slots__ = ("n", "forward", "backward")
@@ -49,9 +51,16 @@ class Permutation:
             if not 1 <= v <= n or backward[v - 1]:
                 raise ValueError(f"{forward} is not a bijection of [1..{n}]")
             backward[v - 1] = x
-        self.n = n
-        self.forward = forward
-        self.backward = tuple(backward)
+        set_slot = object.__setattr__
+        set_slot(self, "n", n)
+        set_slot(self, "forward", forward)
+        set_slot(self, "backward", tuple(backward))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot set {name!r}: a Permutation is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a Permutation is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

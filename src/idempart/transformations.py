@@ -35,7 +35,9 @@ class Idempotent:
     attained values); fibers maps each image point x to the sorted
     tuple of its preimage, which always contains x.  Construction
     raises ValueError on an empty tuple, on a value outside [1..n] and
-    on a map that is not idempotent.
+    on a map that is not idempotent.  The slots are set once, by the
+    constructor: assigning or deleting one raises AttributeError, so a
+    map keeps its hash while a set or dict holds it.
     """
 
     __slots__ = ("n", "values", "image", "fibers")
@@ -54,10 +56,18 @@ class Idempotent:
         buckets: dict[int, list[int]] = {}
         for x, v in enumerate(values, start=1):
             buckets.setdefault(v, []).append(x)
-        self.n = n
-        self.values = values
-        self.image = tuple(sorted(buckets))
-        self.fibers = {x: tuple(buckets[x]) for x in self.image}
+        image = tuple(sorted(buckets))
+        set_slot = object.__setattr__
+        set_slot(self, "n", n)
+        set_slot(self, "values", values)
+        set_slot(self, "image", image)
+        set_slot(self, "fibers", {x: tuple(buckets[x]) for x in image})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot set {name!r}: an Idempotent is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: an Idempotent is immutable")
 
     def __call__(self, x: int) -> int:
         if not 1 <= x <= self.n:

@@ -24,14 +24,7 @@ from .formula import (
     type_terms,
 )
 from .representations import BWord, Representation, apply_rep, conjugate_rep
-from .stabilizer import (
-    GU_ENUM_LIMIT,
-    FiberClass,
-    eta_classes,
-    gamma_hom,
-    gu_enumerate,
-    gu_order,
-)
+from .stabilizer import GU_ENUM_LIMIT, gamma_hom, gu_enumerate, gu_order
 from .symmetric import (
     Permutation,
     _orbit_stats,
@@ -71,7 +64,7 @@ def _gu_shapes() -> list[tuple[int, int]]:
     shapes = []
     for k in itertools.count(1):
         m = 1
-        while gu_order(FiberClass(k, tuple(range(1, m + 1)))) <= GU_ENUM_LIMIT:
+        while gu_order(k, m) <= GU_ENUM_LIMIT:
             shapes.append((k, m))
             m += 1
         if m == 1:
@@ -111,15 +104,14 @@ def _check_gu_shape(k: int, m: int) -> CheckResult:
     enumerated set is the subgroup of S_{k*m} that they generate.
     """
     f = block_idempotent(((k, m),))
-    cls = eta_classes(f)[0]
-    order = gu_order(cls)
+    order = gu_order(k, m)
     name = f"gu-axioms k={k} |U|={m}"
     values = f.values
     # each element is held once, as the bytes of its forward table mapped
     # to its index; the Permutation objects are dropped as they come
     index: dict[bytes, int] = {}
     enumerated = 0
-    for z in gu_enumerate(cls):
+    for z in gu_enumerate(k, m):
         forward = z.forward
         if [forward[v - 1] for v in values] != [values[v - 1] for v in forward]:
             return CheckResult(name, False, f"{z} does not commute with {f}")
@@ -178,7 +170,7 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
     yield _result(f"stabilizer-order n={n}", ok, "formula != brute force")
 
     ok = all(
-        math.prod(map(gu_order, eta_classes(f))) == stab
+        math.prod(gu_order(k, m) for k, m in type_vector_of(f)) == stab
         for f, stab in zip(idems, stab_counts)
     )
     yield _result(f"stabilizer-class-product n={n}", ok, "class orders != brute force")
@@ -256,11 +248,11 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
         ok = True
         for f in idems:
             stab = stabilizer_bruteforce(f)
-            for cls in eta_classes(f):
-                ident = Permutation.identity(cls.fiber_size * len(cls.members))
-                if gamma_hom(Permutation.identity(n), f, cls) != ident:
+            for k, m in type_vector_of(f):
+                ident = Permutation.identity(k * m)
+                if gamma_hom(Permutation.identity(n), f, k) != ident:
                     ok = False
-                images = {s: gamma_hom(s, f, cls) for s in stab}
+                images = {s: gamma_hom(s, f, k) for s in stab}
                 for s in stab:
                     if images[s].inverse() != images[s.inverse()]:
                         ok = False
@@ -268,7 +260,7 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
                     for t in stab:
                         if images[t] * images[s] != images[t * s]:
                             ok = False
-                if len(set(images.values())) != gu_order(cls):
+                if len(set(images.values())) != gu_order(k, m):
                     ok = False
         yield _result(f"gamma-homomorphism n={n}", ok, "hom/surjectivity failed")
 

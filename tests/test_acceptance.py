@@ -4,14 +4,12 @@ Each test prints one PASS line when the criterion holds; all
 comparisons are exact integer equality.
 """
 
-import itertools
 import random
 import time
 from collections import Counter
 
 from idempart import (
     BWord,
-    Permutation,
     Representation,
     apply_rep,
     conjugate_idempotent,
@@ -24,9 +22,7 @@ from idempart import (
     enumerate_idempotents_bruteforce,
     enumerate_partitions,
     enumerate_permutations,
-    eta_classes,
     gamma_hom,
-    gu_order,
     orbit_of,
     p_pentagonal,
     p_via_formula,
@@ -114,20 +110,15 @@ def test_criterion_6_group_structure_and_gamma():
         assert result.ok, result
         shapes_checked += 1
 
-    # homomorphism laws and surjectivity, exhaustively for n <= 4
+    # homomorphism laws and surjectivity, exhaustively for n <= 4, through
+    # the gamma-homomorphism check that `verify` runs
     for n in range(1, 5):
-        perms = list(enumerate_permutations(n))
-        for f in enumerate_idempotents(n):
-            stab = [s for s in perms if _conjugated(f.values, s) == f.values]
-            for cls in eta_classes(f):
-                images = {s: gamma_hom(s, f, cls) for s in stab}
-                ident = Permutation.identity(cls.fiber_size * len(cls.members))
-                assert images[Permutation.identity(n)] == ident
-                for s in stab:
-                    assert images[s.inverse()] == images[s].inverse()
-                for s, t in itertools.product(stab, repeat=2):
-                    assert images[t] * images[s] == images[t * s]
-                assert len(set(images.values())) == gu_order(cls)
+        (result,) = [
+            r
+            for r in verify._check_exhaustive_level(n)
+            if r.name == f"gamma-homomorphism n={n}"
+        ]
+        assert result.ok, result
 
     # and on sampled stabilizer pairs at n = 5
     rng = random.Random(1257)
@@ -137,17 +128,15 @@ def test_criterion_6_group_structure_and_gamma():
     rng.shuffle(idems5)
     for f in idems5:
         stab = [s for s in perms5 if _conjugated(f.values, s) == f.values]
-        classes = eta_classes(f)
+        sizes = [k for k, _ in type_vector_of(f)]
         for _ in range(4):
             s = rng.choice(stab)
             t = rng.choice(stab)
-            for cls in classes:
-                assert gamma_hom(t, f, cls) * gamma_hom(s, f, cls) == gamma_hom(
-                    t * s, f, cls
+            for k in sizes:
+                assert gamma_hom(t, f, k) * gamma_hom(s, f, k) == gamma_hom(
+                    t * s, f, k
                 )
-                assert gamma_hom(s, f, cls).inverse() == gamma_hom(
-                    s.inverse(), f, cls
-                )
+                assert gamma_hom(s, f, k).inverse() == gamma_hom(s.inverse(), f, k)
             pairs += 1
         if pairs >= 200:
             break

@@ -3,12 +3,10 @@ import itertools
 import pytest
 
 from idempart import (
-    FiberClass,
     Idempotent,
     Permutation,
     block_idempotent,
     conjugate_idempotent,
-    eta_classes,
     gamma_hom,
     gu_enumerate,
     gu_order,
@@ -19,14 +17,8 @@ from idempart import (
 )
 
 
-def single_class(f):
-    classes = eta_classes(f)
-    assert len(classes) == 1
-    return classes[0]
-
-
 def elements(k, m):
-    return list(gu_enumerate(single_class(block_idempotent(((k, m),)))))
+    return list(gu_enumerate(k, m))
 
 
 def blocks(z, k):
@@ -37,60 +29,25 @@ def blocks(z, k):
     ]
 
 
-# ------------------------------------------------------------ eta classes
-
-
-def test_eta_classes_identity():
-    classes = eta_classes(Idempotent(range(1, 4)))
-    assert classes == [FiberClass(1, (1, 2, 3))]
-
-
-def test_eta_classes_constant():
-    classes = eta_classes(Idempotent((1, 1, 1)))
-    assert classes == [FiberClass(3, (1,))]
-
-
-def test_eta_classes_mixed():
-    classes = eta_classes(Idempotent((1, 2, 1, 4, 4)))
-    assert classes == [
-        FiberClass(1, (2,)),
-        FiberClass(2, (1, 4)),
-    ]
-
-
-def test_eta_class_sizes_match_type_vector(idems_by_n):
-    for n in range(1, 6):
-        for f in idems_by_n[n]:
-            g = type_vector_of(f)
-            by_size = {c.fiber_size: len(c.members) for c in eta_classes(f)}
-            for k in range(1, n + 1):
-                assert by_size.get(k, 0) == dict(g).get(k, 0)
-            sizes = [c.fiber_size for c in eta_classes(f)]
-            assert sizes == sorted(sizes)
-
-
 # -------------------------------------------------------------- the group
 
 
 def test_gu_identity_and_enumerate_counts():
     # k = 1 blocks act on the empty set, only the outer part varies
-    cls = single_class(Idempotent(range(1, 4)))
-    assert gu_order(cls) == 6
-    assert sum(1 for _ in gu_enumerate(cls)) == 6
+    assert gu_order(1, 3) == 6
+    assert sum(1 for _ in gu_enumerate(1, 3)) == 6
 
-    cls = single_class(Idempotent((1, 1, 1)))  # k = 3, |U| = 1
-    assert gu_order(cls) == 2
-    assert sum(1 for _ in gu_enumerate(cls)) == 2
+    assert gu_order(3, 1) == 2  # the constant map on [3]
+    assert sum(1 for _ in gu_enumerate(3, 1)) == 2
 
-    cls = single_class(block_idempotent(((2, 2),)))  # k = 2, |U| = 2
-    assert gu_order(cls) == 2
-    assert sum(1 for _ in gu_enumerate(cls)) == 2
+    assert gu_order(2, 2) == 2
+    assert sum(1 for _ in gu_enumerate(2, 2)) == 2
 
 
 def test_gu_enumerate_guard():
-    cls = single_class(Idempotent(range(1, 10)))
+    # S_9, the class group of the identity on [9], has 362,880 elements
     with pytest.raises(ValueError):
-        list(gu_enumerate(cls))
+        list(gu_enumerate(1, 9))
 
 
 def test_gu_enumerate_is_the_stabilizer_of_the_block_idempotent():
@@ -100,7 +57,7 @@ def test_gu_enumerate_is_the_stabilizer_of_the_block_idempotent():
     assert len(shapes) == 16
     for k, m in shapes:
         f = block_idempotent(((k, m),))
-        assert set(gu_enumerate(single_class(f))) == set(stabilizer_bruteforce(f))
+        assert set(gu_enumerate(k, m)) == set(stabilizer_bruteforce(f))
 
 
 def test_gu_outer_swap_squares_to_identity():
@@ -176,7 +133,7 @@ def test_gu_element_validation():
         assert z not in group
         assert conjugate_idempotent(f, z) != f
         with pytest.raises(ValueError):
-            gamma_hom(z, f, single_class(f))
+            gamma_hom(z, f, 3)
     assert Permutation.identity(5) not in group  # too few points
 
 
@@ -220,48 +177,46 @@ def test_gu_enumerate_runs_outer_then_blocks_lexicographically():
 
 def test_gamma_of_identity_is_identity():
     f = Idempotent((1, 1, 3, 3, 5))
-    for cls in eta_classes(f):
-        ident = Permutation.identity(cls.fiber_size * len(cls.members))
-        assert gamma_hom(Permutation.identity(5), f, cls) == ident
+    for k, m in type_vector_of(f):
+        ident = Permutation.identity(k * m)
+        assert gamma_hom(Permutation.identity(5), f, k) == ident
 
 
 def test_gamma_constant_map_example():
     f = Idempotent((1, 1, 1))
-    cls = single_class(f)
-    assert gamma_hom(Permutation((1, 3, 2)), f, cls) == Permutation((1, 3, 2))
+    assert gamma_hom(Permutation((1, 3, 2)), f, 3) == Permutation((1, 3, 2))
 
     # the fibers (1, 2, 6) and (3, 4, 5), rooted at 2 and 5, trade
     # places: the rest (1, 6) of the first lands reversed on (3, 4), the
     # rest (3, 4) of the second in order on (1, 6)
     f = Idempotent((2, 2, 5, 5, 5, 2))
-    z = gamma_hom(Permutation((4, 5, 1, 6, 2, 3)), f, single_class(f))
+    z = gamma_hom(Permutation((4, 5, 1, 6, 2, 3)), f, 3)
     assert z == Permutation((4, 6, 5, 1, 2, 3))
 
 
 def test_gamma_rejects_non_stabilizer():
     f = Idempotent((1, 1, 1))
-    with pytest.raises(ValueError):
-        gamma_hom(Permutation((2, 3, 1)), f, single_class(f))
+    with pytest.raises(ValueError, match="does not stabilize"):
+        gamma_hom(Permutation((2, 3, 1)), f, 3)
+    # nor does a permutation of another number of points
+    with pytest.raises(ValueError, match="size mismatch"):
+        gamma_hom(Permutation.identity(4), f, 3)
 
 
 def test_gamma_rejects_foreign_class():
+    # the constant map on [3] has one fiber, of 3 points, and none of 1
     f = Idempotent((1, 1, 1))
-    other = single_class(Idempotent(range(1, 4)))
-    with pytest.raises(ValueError):
-        gamma_hom(Permutation.identity(3), f, other)
+    assert gamma_hom(Permutation.identity(3), f, 3) == Permutation.identity(3)
+    with pytest.raises(ValueError, match="no fiber"):
+        gamma_hom(Permutation.identity(3), f, 1)
 
+    # two fibers of 3 points, and none of 2
     f = block_idempotent(((3, 2),))
     swap = Permutation((4, 5, 6, 1, 2, 3))
-    assert single_class(f) == FiberClass(3, (1, 4))
-    for cls in (
-        FiberClass(3, (1,)),  # one of the two members
-        FiberClass(3, (4, 1)),  # members out of order
-        FiberClass(2, (1, 4)),  # the right members, the wrong fiber size
-        FiberClass(2, ()),  # no fiber has 2 points, and no member is given
-    ):
-        for sigma in (swap, Permutation.identity(6)):
-            with pytest.raises(ValueError):
-                gamma_hom(sigma, f, cls)
+    assert gamma_hom(swap, f, 3) == swap
+    for sigma in (swap, Permutation.identity(6)):
+        with pytest.raises(ValueError, match="no fiber"):
+            gamma_hom(sigma, f, 2)
 
 
 # ------------------------------------------------------- stabilizer order
@@ -277,6 +232,6 @@ def test_class_group_orders_multiply_to_stabilizer_order(idems_by_n):
     for n in range(1, 6):
         for f in idems_by_n[n]:
             product = 1
-            for cls in eta_classes(f):
-                product *= gu_order(cls)
+            for k, m in type_vector_of(f):
+                product *= gu_order(k, m)
             assert product == len(stabilizer_bruteforce(f))

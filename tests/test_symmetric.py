@@ -31,6 +31,18 @@ def test_permutation_validation():
         Permutation((1, 4, 2))
 
 
+def test_permutation_slots_cannot_change_after_it_is_hashed():
+    p = Permutation((2, 1))
+    held = {p: "held"}
+    for slot in Permutation.__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(p, slot, getattr(Permutation.identity(2), slot))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(p, slot)
+    assert (p.n, p.forward, p.backward) == (2, (2, 1), (2, 1))
+    assert held[p] == held[Permutation((2, 1))] == "held"
+
+
 def test_permutation_composition_applies_right_first():
     p = Permutation((2, 1, 3))
     q = Permutation((2, 3, 1))

@@ -42,6 +42,19 @@ def test_idempotent_construction_validates():
         Idempotent((2, 3, 1))
 
 
+def test_idempotent_slots_cannot_change_after_it_is_hashed():
+    f = Idempotent((1, 1, 3))
+    held = {f: "held"}
+    for slot in Idempotent.__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(f, slot, getattr(Idempotent((1, 2, 3)), slot))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(f, slot)
+    assert (f.n, f.values, f.image) == (3, (1, 1, 3), (1, 3))
+    assert f.fibers == {1: (1, 2), 3: (3,)}
+    assert held[f] == held[Idempotent((1, 1, 3))] == "held"
+
+
 def test_idempotent_fibers_contain_roots():
     for n in range(1, 6):
         for f in enumerate_idempotents(n):
@@ -104,6 +117,7 @@ def test_type_vector_of_examples():
     assert type_vector_of(Idempotent(range(1, 4))) == ((1, 3),)
     assert type_vector_of(Idempotent((1, 1, 1))) == ((3, 1),)
     assert type_vector_of(Idempotent((1, 2, 1))) == ((1, 1), (2, 1))
+    assert type_vector_of(Idempotent((1, 2, 1, 4, 4))) == ((1, 1), (2, 2))
 
 
 def test_type_vector_weight_invariant():

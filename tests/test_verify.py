@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idempart import (
+    Idempotent,
     block_idempotent,
     conjugate_idempotent,
     enumerate_idempotents,
@@ -13,11 +14,12 @@ from idempart import (
     gamma_hom,
     stabilizer_bruteforce,
     symmetric,
+    type_vector_of,
     verify,
 )
 from idempart.cli import main
 from idempart.combinatorics import RemainderError
-from idempart.stabilizer import eta_classes, gu_enumerate, gu_order
+from idempart.stabilizer import gu_enumerate, gu_order
 from idempart.symmetric import Permutation, _conjugated
 
 
@@ -26,13 +28,13 @@ SHAPES = [
     (k, m)
     for k in range(1, 6)
     for m in range(1, 6)
-    if gu_order(eta_classes(block_idempotent(((k, m),)))[0]) <= 1296
+    if gu_order(k, m) <= 1296
 ]
 
 
 @functools.lru_cache(maxsize=None)
 def _elements(k, m):
-    return list(gu_enumerate(eta_classes(block_idempotent(((k, m),)))[0]))
+    return list(gu_enumerate(k, m))
 
 
 @functools.lru_cache(maxsize=None)
@@ -44,16 +46,16 @@ def _stabilized(n):
 @settings(deadline=None)
 @given(data=st.data())
 def test_induced_action_is_faithful_and_multiplicative(data):
-    # gamma_hom, class by class, is the action that a stabilizing
+    # gamma_hom, fiber size by fiber size, is the action that a stabilizing
     # permutation induces on the fibers of each class: together the
     # classes tell every two stabilizing permutations apart, and each
     # class turns products into products
     f, stab = data.draw(st.sampled_from(_stabilized(data.draw(st.integers(1, 5)))))
     s, t = (data.draw(st.sampled_from(stab)) for _ in range(2))
-    classes = eta_classes(f)
+    sizes = [k for k, _ in type_vector_of(f)]
 
     def induced(sigma):
-        return tuple(gamma_hom(sigma, f, cls) for cls in classes)
+        return tuple(gamma_hom(sigma, f, k) for k in sizes)
 
     assert (induced(s) == induced(t)) == (s == t)
     assert induced(t * s) == tuple(a * b for a, b in zip(induced(t), induced(s)))
@@ -107,10 +109,9 @@ def test_induced_action_stabilizes_the_block_idempotent():
     # and gamma maps it to itself
     for k, m in ((1, 3), (2, 2), (3, 2), (4, 1)):
         f = block_idempotent(((k, m),))
-        cls = eta_classes(f)[0]
         for z in _elements(k, m):
             assert conjugate_idempotent(f, z) == f
-            assert gamma_hom(z, f, cls) == z
+            assert gamma_hom(z, f, k) == z
 
 
 def _full_sweep(idems, perms):
@@ -237,12 +238,35 @@ def test_gamma_homomorphism_check_fails_on_one_wrong_image(monkeypatch):
     exact = verify.gamma_hom
     f = block_idempotent(((3, 1),))
     swap = Permutation((1, 3, 2))
-    assert exact(swap, f, eta_classes(f)[0]) == swap
+    assert exact(swap, f, 3) == swap
 
-    def gamma_hom(sigma, g, cls):
+    def gamma_hom(sigma, g, k):
         if (sigma, g) == (swap, f):
             return Permutation.identity(3)
-        return exact(sigma, g, cls)
+        return exact(sigma, g, k)
+
+    assert "gamma-homomorphism" not in _failed(3)
+    monkeypatch.setattr(verify, "gamma_hom", gamma_hom)
+    assert _failed(3) == {"gamma-homomorphism"}
+
+
+def test_gamma_homomorphism_check_fails_on_a_broken_product(monkeypatch):
+    # the identity on [3] has one class group, S_3, and gamma sends each
+    # stabilizing permutation to itself; trading the images of the two
+    # transpositions (2, 1, 3) and (3, 2, 1) keeps the identity, every
+    # inverse (both are involutions) and the six distinct images, and
+    # breaks only products: (2, 1, 3) * (3, 2, 1) = (3, 1, 2), but the
+    # images multiply to (3, 2, 1) * (2, 1, 3) = (2, 3, 1)
+    exact = verify.gamma_hom
+    f = Idempotent((1, 2, 3))
+    a, b = Permutation((2, 1, 3)), Permutation((3, 2, 1))
+    assert all(exact(s, f, 1) == s for s in enumerate_permutations(3))
+    traded = {a: b, b: a}
+
+    def gamma_hom(sigma, g, k):
+        if g == f:
+            return traded.get(sigma, sigma)
+        return exact(sigma, g, k)
 
     assert "gamma-homomorphism" not in _failed(3)
     monkeypatch.setattr(verify, "gamma_hom", gamma_hom)
@@ -267,8 +291,8 @@ def _check_with(monkeypatch, k, m, change):
     """Run the gu-axioms check of (k, m) on change(the enumerated elements)."""
     exact = verify.gu_enumerate
 
-    def changed(cls):
-        return iter(change(list(exact(cls))))
+    def changed(k, m):
+        return iter(change(list(exact(k, m))))
 
     monkeypatch.setattr(verify, "gu_enumerate", changed)
     result = verify._check_gu_shape(k, m)
@@ -389,7 +413,7 @@ def test_gu_axioms_covers_every_shape_gu_enumerate_lists():
     listed = []
     for k in range(1, 11):
         for m in range(1, 11):
-            elements = gu_enumerate(eta_classes(block_idempotent(((k, m),)))[0])
+            elements = gu_enumerate(k, m)
             if (k, m) in checked:
                 next(elements)
                 listed.append((k, m))
