@@ -6,9 +6,9 @@ JSON record per line in which all integers are exact decimal strings.
 Every integer argument is checked against one limits table before the
 command runs.  Exit codes: 0 success, 1 an identity failed, 2 an
 argument outside the table, 3 the output could not be written (an
-OSError such as a full disk).  Any other error inside a command is a
-bug and propagates as a traceback instead of being reported as a bad
-argument.  Each command imports the layers it runs when it runs, so
+OSError such as a full disk), 4 any other error inside a command: a
+bug, reported on one line without a traceback, not as a bad argument.
+Each command imports the layers it runs when it runs, so
 `pn --method formula|pentagonal` and `idempotents` without --list,
 which counts size by size, never load the group layer.
 
@@ -429,6 +429,11 @@ def main(argv: list[str] | None = None) -> int:
         # turn the exit status into 120
         sys.stdout = open(os.devnull, "w")
         return 3
+    except Exception as exc:
+        # a fault of the program, not of the arguments; repr keeps the
+        # exception's type and fits its message on one line
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 def run() -> None:

@@ -19,11 +19,15 @@ f.  Multiplying the group orders over the type vector recovers the
 stabilizer size; formula.stabilizer_order_formula computes it
 independently from the same vector.  gu_enumerate lists a class group
 only up to order GU_ENUM_LIMIT, the one cap on class groups, and verify
-checks that every shape it lists is a group of the right order.
+checks that every shape it lists is a group of the right order.  It
+builds each element's forward table in one piece, from the block lists
+of all members but the last, each built once, and the last member's
+blocks, generated as they are needed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator
@@ -57,24 +61,29 @@ def gu_enumerate(k: int, m: int) -> Iterator[Permutation]:
     if order > GU_ENUM_LIMIT:
         raise ValueError(f"class group of order {order} exceeds {GU_ENUM_LIMIT}")
 
-    def images(targets: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        # the images of the points of the members sent to targets, block
-        # after block: a root goes to its target's root, and the rest of
-        # the block onto the rest of the target's block, in one of
-        # (k-1)! orders, which are generated again for each prefix
-        # rather than held
-        if not targets:
-            yield ()
-            return
-        root = targets[0] * k + 1
-        for rest in itertools.permutations(range(root + 1, root + k)):
-            head = (root, *rest)
-            for tail in images(targets[1:]):
-                yield head + tail
+    @functools.cache
+    def blocks(target: int) -> list[tuple[int, ...]]:
+        # the (k-1)! images, in lexicographic order, of a member's block
+        # when the member goes to target: its root to the target's root
+        # and the rest onto the rest of the target's block
+        root = target * k + 1
+        rest = range(root + 1, root + k)
+        return [(root, *images) for images in itertools.permutations(rest)]
 
     for outer in itertools.permutations(range(m)):
-        for forward in images(outer):
-            yield Permutation(forward)
+        # the blocks of every member but the last are walked as one
+        # product of held lists, each built once per target (at most 48
+        # tuples in all, at k = 5, |U| = 2); the last member's are
+        # generated as they are needed, so k = 8, |U| = 1 holds none of
+        # its 5,040.  The pools are passed from a list: star-arguments
+        # from a map are built in a longer tuple and then shrunk, and
+        # CPython would keep up to 2,000 of those in a free list
+        *front, last = outer
+        root = last * k + 1
+        for head in itertools.product(*[blocks(t) for t in front]):
+            prefix = sum(head, ())
+            for rest in itertools.permutations(range(root + 1, root + k)):
+                yield Permutation((*prefix, root, *rest))
 
 
 def gamma_hom(sigma: Permutation, f: Idempotent, k: int) -> Permutation:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
 from .combinatorics import _check_type
@@ -32,12 +33,13 @@ class Idempotent:
     """An idempotent map [n] -> [n], stored as a 1-based value tuple.
 
     image is the sorted tuple of fixed points (equivalently the set of
-    attained values); fibers maps each image point x to the sorted
-    tuple of its preimage, which always contains x.  Construction
-    raises ValueError on an empty tuple, on a value outside [1..n] and
-    on a map that is not idempotent.  The slots are set once, by the
-    constructor: assigning or deleting one raises AttributeError, so a
-    map keeps its hash while a set or dict holds it.
+    attained values); fibers is a read-only mapping from each image
+    point x to the sorted tuple of its preimage, which always contains
+    x.  Construction raises ValueError on an empty tuple, on a value
+    outside [1..n] and on a map that is not idempotent.  The slots are
+    set once, by the constructor: assigning or deleting one raises
+    AttributeError, and writing into fibers raises TypeError, so a map
+    keeps its hash and its fibers while a set or dict holds it.
     """
 
     __slots__ = ("n", "values", "image", "fibers")
@@ -61,7 +63,8 @@ class Idempotent:
         set_slot(self, "n", n)
         set_slot(self, "values", values)
         set_slot(self, "image", image)
-        set_slot(self, "fibers", {x: tuple(buckets[x]) for x in image})
+        fibers = {x: tuple(buckets[x]) for x in image}
+        set_slot(self, "fibers", MappingProxyType(fibers))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot set {name!r}: an Idempotent is immutable")

@@ -97,26 +97,30 @@ def _gu_generators(k: int, m: int) -> list[tuple[int, ...]]:
 def _check_gu_shape(k: int, m: int) -> CheckResult:
     """The class group of m fibers of size k is a group of gu_order elements.
 
-    Its enumerated elements must be distinct, gu_order of them, and each
-    must commute with the block idempotent whose fibers it permutes.
-    Right multiplication by the generators of _gu_generators, from the
-    identity, must then reach every element and nothing else: the
-    enumerated set is the subgroup of S_{k*m} that they generate.
+    The generators of _gu_generators must commute with the block
+    idempotent whose fibers they permute, and the enumerated elements
+    must be distinct and gu_order of them.  Left multiplication by the
+    generators, from the identity, must then reach every element and
+    nothing else: the enumerated set is the subgroup of S_{k*m} that
+    they generate.  The permutations that commute with the idempotent
+    form a subgroup too, so every element commutes with it.
     """
     f = block_idempotent(((k, m),))
     order = gu_order(k, m)
     name = f"gu-axioms k={k} |U|={m}"
     values = f.values
+    generators = _gu_generators(k, m)
+    for g in generators:
+        if [g[v - 1] for v in values] != [values[v - 1] for v in g]:
+            detail = f"{Permutation(g)} does not commute with {f}"
+            return CheckResult(name, False, detail)
     # each element is held once, as the bytes of its forward table mapped
     # to its index; the Permutation objects are dropped as they come
     index: dict[bytes, int] = {}
     enumerated = 0
     for z in gu_enumerate(k, m):
-        forward = z.forward
-        if [forward[v - 1] for v in values] != [values[v - 1] for v in forward]:
-            return CheckResult(name, False, f"{z} does not commute with {f}")
         enumerated += 1
-        index.setdefault(bytes(forward), len(index))
+        index.setdefault(bytes(z.forward), len(index))
     if enumerated != order or len(index) != order:
         detail = f"enumerated {enumerated}, {len(index)} distinct != {order}"
         return CheckResult(name, False, detail)
@@ -124,17 +128,19 @@ def _check_gu_shape(k: int, m: int) -> CheckResult:
     if start is None:
         return CheckResult(name, False, "the identity is not enumerated")
     tables = list(index)
-    generators = _gu_generators(k, m)
+    # translate sends each byte v of z's forward table to byte v of g256,
+    # g's table padded to 256 bytes, so it gives the table of g * z
+    padded = [(g, bytes([0, *g, *range(k * m + 1, 256)])) for g in generators]
     reached = bytearray(order)
     reached[start] = 1
     count = 1
     unexpanded = [start]
     while unexpanded:
         table = tables[unexpanded.pop()]
-        for g in generators:
-            j = index.get(bytes([table[v - 1] for v in g]))
+        for g, g256 in padded:
+            j = index.get(table.translate(g256))
             if j is None:
-                detail = f"{Permutation(table)} * {Permutation(g)} is not enumerated"
+                detail = f"{Permutation(g)} * {Permutation(table)} is not enumerated"
                 return CheckResult(name, False, detail)
             if not reached[j]:
                 reached[j] = 1

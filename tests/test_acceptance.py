@@ -102,8 +102,8 @@ def test_criterion_5_orbit_characterization():
 
 def test_criterion_6_group_structure_and_gamma():
     # every enumerable class group, through the same check that `verify`
-    # runs: gu_order distinct elements, each commuting with the block
-    # idempotent, and equal to the closure of independent generators
+    # runs: gu_order distinct elements, equal to the closure of
+    # independent generators that commute with the block idempotent
     shapes_checked = 0
     for k, m in verify._gu_shapes():
         result = verify._check_gu_shape(k, m)

@@ -329,13 +329,16 @@ def test_limits_rows_stay_inside_the_library_guards():
         assert cli._LIMITS[row][option][1] <= PERMUTATION_ENUM_LIMIT, row
 
 
-def test_internal_value_error_is_not_reported_as_bad_arguments(monkeypatch):
+def test_internal_value_error_is_not_reported_as_bad_arguments(monkeypatch, capsys):
     def broken(n):
         raise ValueError("internal fault")
 
     monkeypatch.setattr(cli, "p_pentagonal", broken)
-    with pytest.raises(ValueError, match="internal fault"):
-        main(["pn", "5", "--method", "pentagonal"])
+    assert main(["pn", "5", "--method", "pentagonal"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    # one line, and no traceback
+    assert err == "error: internal error: ValueError('internal fault')\n"
 
 
 class _FullDisk(io.StringIO):

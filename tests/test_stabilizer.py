@@ -159,7 +159,9 @@ def test_gu_table_of_fiber_size_one_is_empty():
 
 
 def test_gu_enumerate_runs_outer_then_blocks_lexicographically():
-    for k, m in ((1, 3), (2, 2), (3, 2), (3, 3), (4, 2)):
+    shapes = verify._gu_shapes()
+    assert len(shapes) == 27
+    for k, m in shapes:
         base = list(itertools.permutations(range(1, k)))
         reference = []
         for outer in itertools.permutations(range(m)):

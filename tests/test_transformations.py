@@ -2,9 +2,13 @@ import pytest
 
 from idempart import (
     Idempotent,
+    Permutation,
     block_idempotent,
+    conjugate_idempotent,
+    conjugator,
     enumerate_idempotents,
     enumerate_idempotents_bruteforce,
+    gamma_hom,
     type_vector_of,
 )
 from idempart.formula import type_terms
@@ -53,6 +57,27 @@ def test_idempotent_slots_cannot_change_after_it_is_hashed():
     assert (f.n, f.values, f.image) == (3, (1, 1, 3), (1, 3))
     assert f.fibers == {1: (1, 2), 3: (3,)}
     assert held[f] == held[Idempotent((1, 1, 3))] == "held"
+
+
+def test_idempotent_fibers_cannot_be_written():
+    # the fibers are read by type_vector_of, gamma_hom and conjugator; a
+    # write into them is refused and leaves all three as they were
+    f = Idempotent((1, 1, 3))
+    g = Idempotent((1, 3, 3))
+    identity = Permutation.identity(3)
+
+    def readings():
+        return type_vector_of(f), gamma_hom(identity, f, 2), conjugator(f, g)
+
+    before = readings()
+    assert before[:2] == (((1, 1), (2, 1)), Permutation.identity(2))
+    assert conjugate_idempotent(f, before[2]) == g
+    with pytest.raises(TypeError):
+        f.fibers[3] = (1, 2, 3)
+    with pytest.raises(TypeError):
+        del f.fibers[1]
+    assert f.fibers == {1: (1, 2), 3: (3,)}
+    assert readings() == before
 
 
 def test_idempotent_fibers_contain_roots():

@@ -313,20 +313,62 @@ def test_gu_axioms_check_fails_on_a_dropped_element(monkeypatch):
 
 def test_gu_axioms_check_fails_on_an_element_that_does_not_commute(monkeypatch):
     # the swap of the first member's root with its first non-root point
-    # moves a fiber's root off the image of the block idempotent
+    # moves a fiber's root off the image of the block idempotent; it
+    # takes the place of (4, 5, 6, 1, 3, 2), which the closure then
+    # reaches as the transposition of member 0's non-root points times
+    # the member swap, and finds missing
     bad = Permutation((2, 1, 3, 4, 5, 6))
+    missing = _elements(3, 2)[5]
+    transposition = Permutation((1, 3, 2, 4, 5, 6))
+    swap = Permutation((4, 5, 6, 1, 2, 3))
+    assert transposition * swap == missing
+    f = block_idempotent(((3, 2),))
+    assert conjugate_idempotent(f, bad) != f
 
     def swap_in(elems):
         elems[5] = bad
         return elems
 
     detail = _check_with(monkeypatch, 3, 2, swap_in)
-    assert detail == f"{bad} does not commute with {block_idempotent(((3, 2),))}"
+    assert detail == f"{transposition} * {swap} is not enumerated"
+
+
+def test_gu_axioms_check_fails_without_the_identity(monkeypatch):
+    # the first element listed is the identity; an element outside the
+    # group in its place keeps the counts, and the closure has no start
+    def swap_in(elems):
+        assert elems[0] == Permutation.identity(6)
+        elems[0] = Permutation((2, 1, 3, 4, 5, 6))
+        return elems
+
+    assert _check_with(monkeypatch, 3, 2, swap_in) == "the identity is not enumerated"
+
+
+def test_gu_axioms_check_fails_on_an_element_of_another_class(monkeypatch):
+    # the last element of the class group of three fibers of size 2,
+    # (5, 6, 3, 4, 1, 2), gives way to an element of the class group of
+    # two fibers of size 3 on the same six points: the counts still hold,
+    # and the closure reaches the dropped element as the member swap
+    # times the square of the member cycle, and finds it missing
+    bad = Permutation((1, 3, 2, 4, 5, 6))
+    assert bad in _elements(3, 2)
+    assert bad not in _elements(2, 3)
+    swap = Permutation((3, 4, 1, 2, 5, 6))
+    cycle_squared = Permutation((5, 6, 1, 2, 3, 4))
+    assert swap * cycle_squared == _elements(2, 3)[-1]
+
+    def swap_in(elems):
+        elems[-1] = bad
+        return elems
+
+    detail = _check_with(monkeypatch, 2, 3, swap_in)
+    assert detail == f"{swap} * {cycle_squared} is not enumerated"
 
 
 def test_gu_axioms_check_fails_on_a_product_outside_the_group(monkeypatch):
-    # a generator that no element equals: the identity times it is the
-    # first product outside the enumerated group
+    # a generator that no element equals, in place of the member swap:
+    # it trades member 0's last non-root point with member 1's root, so
+    # it fails the commutation test before any product is taken
     bad = Permutation((1, 2, 4, 3, 5, 6))
     assert bad not in _elements(3, 2)
     exact = verify._gu_generators
@@ -335,13 +377,15 @@ def test_gu_axioms_check_fails_on_a_product_outside_the_group(monkeypatch):
     )
     result = verify._check_gu_shape(3, 2)
     assert not result.ok
-    assert result.detail == f"{Permutation.identity(6)} * {bad} is not enumerated"
+    f = block_idempotent(((3, 2),))
+    assert result.detail == f"{bad} does not commute with {f}"
 
 
 def test_gu_axioms_check_fails_on_a_product_of_another_class(monkeypatch):
     # a generator of the class group of three fibers of size 2, which
     # acts on the same six points: the swap of its members 0 and 1 sends
-    # the root of member 0 of three fibers of size 3 to a non-root point
+    # the root of member 0 of two fibers of size 3 to a non-root point,
+    # so it fails the commutation test before any product is taken
     bad = Permutation((3, 4, 1, 2, 5, 6))
     assert bad in _elements(2, 3)
     assert bad not in _elements(3, 2)
@@ -351,7 +395,8 @@ def test_gu_axioms_check_fails_on_a_product_of_another_class(monkeypatch):
     )
     result = verify._check_gu_shape(3, 2)
     assert not result.ok
-    assert result.detail == f"{Permutation.identity(6)} * {bad} is not enumerated"
+    f = block_idempotent(((3, 2),))
+    assert result.detail == f"{bad} does not commute with {f}"
 
 
 def test_gu_axioms_check_fails_when_the_generators_reach_too_few(monkeypatch):
