@@ -10,19 +10,21 @@ fiber minus its root, read in ascending order.  Those form the wreath
 product S_{k-1} wr S_m, m = g(k), a group of order ((k-1)!)^m * m!.
 Its order, elements and layout depend only on the shape (k, m), one
 entry of the type vector, so gu_order and gu_enumerate take that pair.
-An element is the Permutation of the k*m points [1..k*m] that it
+An element is the permutation of the k*m points [1..k*m] that it
 induces on the block idempotent of m fibers of size k: member i (from
 0) owns the points i*k+1 .. i*k+k, its root first, so the product,
-inverse and identity are those of the symmetric group.  gamma_hom maps
-a permutation stabilizing f into the class group of one fiber size of
-f.  Multiplying the group orders over the type vector recovers the
-stabilizer size; formula.stabilizer_order_formula computes it
-independently from the same vector.  gu_enumerate lists a class group
-only up to order GU_ENUM_LIMIT, the one cap on class groups, and verify
-checks that every shape it lists is a group of the right order.  It
-builds each element's forward table in one piece, from the block lists
-of all members but the last, each built once, and the last member's
-blocks, generated as they are needed.
+inverse and identity are those of the symmetric group.  gu_enumerate
+yields each element as its forward table, a plain tuple, and gamma_hom
+maps a permutation stabilizing f to its element, as a Permutation, of
+the class group of one fiber size of f.  Multiplying the group orders
+over the type vector recovers the stabilizer size;
+formula.stabilizer_order_formula computes it independently from the
+same vector.  gu_enumerate lists a class group only up to order
+GU_ENUM_LIMIT, the one cap on class groups, and verify checks that
+every shape it lists is a group of the right order.  It builds each
+forward table in one piece, from the block lists of all members but
+the last, each built once, and the last member's blocks, generated as
+they are needed.
 """
 
 from __future__ import annotations
@@ -50,12 +52,13 @@ def gu_order(k: int, m: int) -> int:
     return math.factorial(k - 1) ** m * math.factorial(m)
 
 
-def gu_enumerate(k: int, m: int) -> Iterator[Permutation]:
+def gu_enumerate(k: int, m: int) -> Iterator[tuple[int, ...]]:
     """Every element of the class group of m fibers of size k exactly once.
 
-    Each element is a permutation of [k*m] laid out as in the module
-    docstring.  Outer parts run in lexicographic order, and for each the
-    tuples of member blocks in lexicographic order.
+    Each element is the forward table, a tuple of [1..k*m], of its
+    permutation, laid out as in the module docstring; Permutation(table)
+    gives the group element.  Outer parts run in lexicographic order,
+    and for each the tuples of member blocks in lexicographic order.
     """
     order = gu_order(k, m)
     if order > GU_ENUM_LIMIT:
@@ -83,7 +86,7 @@ def gu_enumerate(k: int, m: int) -> Iterator[Permutation]:
         for head in itertools.product(*[blocks(t) for t in front]):
             prefix = sum(head, ())
             for rest in itertools.permutations(range(root + 1, root + k)):
-                yield Permutation((*prefix, root, *rest))
+                yield (*prefix, root, *rest)
 
 
 def gamma_hom(sigma: Permutation, f: Idempotent, k: int) -> Permutation:

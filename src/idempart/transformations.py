@@ -94,7 +94,12 @@ def enumerate_idempotents_bruteforce(n: int) -> Iterator[Idempotent]:
             f"n must lie in 1..{BRUTE_FORCE_MAP_LIMIT} for the n^n scan, got {n}"
         )
     for vals in itertools.product(range(1, n + 1), repeat=n):
-        if all(vals[v - 1] == v for v in vals):
+        # every value is fixed; a plain loop leaves at the first that is
+        # not, with no generator set up for each of the n^n tuples
+        for v in vals:
+            if vals[v - 1] != v:
+                break
+        else:
             yield Idempotent(vals)
 
 

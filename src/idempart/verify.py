@@ -115,12 +115,12 @@ def _check_gu_shape(k: int, m: int) -> CheckResult:
             detail = f"{Permutation(g)} does not commute with {f}"
             return CheckResult(name, False, detail)
     # each element is held once, as the bytes of its forward table mapped
-    # to its index; the Permutation objects are dropped as they come
+    # to its index; the enumerated tuples are dropped as they come
     index: dict[bytes, int] = {}
     enumerated = 0
     for z in gu_enumerate(k, m):
         enumerated += 1
-        index.setdefault(bytes(z.forward), len(index))
+        index.setdefault(bytes(z), len(index))
     if enumerated != order or len(index) != order:
         detail = f"enumerated {enumerated}, {len(index)} distinct != {order}"
         return CheckResult(name, False, detail)
@@ -168,16 +168,19 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
         yield result
 
     stab_counts, orbit_keys, partition = _orbit_stats(idems, perms)
+    # one type vector per idempotent, read by the checks below; equal
+    # vectors share one tuple, so the level holds p(n) of them, not |I(n)|
+    shared: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
+    types = [shared.setdefault(g, g) for g in map(type_vector_of, idems)]
 
     ok = all(
-        stabilizer_order_formula(type_vector_of(f)) == stab
-        for f, stab in zip(idems, stab_counts)
+        stabilizer_order_formula(g) == stab for g, stab in zip(types, stab_counts)
     )
     yield _result(f"stabilizer-order n={n}", ok, "formula != brute force")
 
     ok = all(
-        math.prod(gu_order(k, m) for k, m in type_vector_of(f)) == stab
-        for f, stab in zip(idems, stab_counts)
+        math.prod(gu_order(k, m) for k, m in g) == stab
+        for g, stab in zip(types, stab_counts)
     )
     yield _result(f"stabilizer-class-product n={n}", ok, "class orders != brute force")
 
@@ -198,7 +201,7 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
 
     # the walk's carried count and the per-type product must both match
     # the tally; equal totals then leave no tallied type outside the walk
-    tally = Counter(type_vector_of(f) for f in idems)
+    tally = Counter(types)
     ok = True
     walked = 0
     for g, count, _ in type_terms(n):
@@ -252,9 +255,9 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
         yield _result(f"equivariance n={n}", ok, "representation law fails")
 
         ok = True
-        for f in idems:
+        for f, g in zip(idems, types):
             stab = stabilizer_bruteforce(f)
-            for k, m in type_vector_of(f):
+            for k, m in g:
                 ident = Permutation.identity(k * m)
                 if gamma_hom(Permutation.identity(n), f, k) != ident:
                     ok = False

@@ -18,7 +18,7 @@ from idempart import (
 
 
 def elements(k, m):
-    return list(gu_enumerate(k, m))
+    return [Permutation(t) for t in gu_enumerate(k, m)]
 
 
 def blocks(z, k):
@@ -57,7 +57,18 @@ def test_gu_enumerate_is_the_stabilizer_of_the_block_idempotent():
     assert len(shapes) == 16
     for k, m in shapes:
         f = block_idempotent(((k, m),))
-        assert set(gu_enumerate(k, m)) == set(stabilizer_bruteforce(f))
+        stabilizer = {s.forward for s in stabilizer_bruteforce(f)}
+        assert set(gu_enumerate(k, m)) == stabilizer
+
+
+def test_gu_enumerate_yields_bijective_forward_tables():
+    # gu-axioms reads each table as bytes, with no Permutation to check
+    # it: every table is a tuple that lists each point of [k*m] once
+    for k, m in verify._gu_shapes():
+        points = list(range(1, k * m + 1))
+        for t in gu_enumerate(k, m):
+            assert isinstance(t, tuple) and len(t) == k * m
+            assert sorted(t) == points
 
 
 def test_gu_outer_swap_squares_to_identity():
@@ -171,7 +182,7 @@ def test_gu_enumerate_runs_outer_then_blocks_lexicographically():
                     root = target * k + 1
                     forward += [root] + [root + v for v in block]
                 reference.append(tuple(forward))
-        assert [z.forward for z in elements(k, m)] == reference
+        assert list(gu_enumerate(k, m)) == reference
 
 
 # ------------------------------------------------------------- gamma hom

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from idempart import (
@@ -96,6 +98,18 @@ def test_bruteforce_counts_and_examples():
     ]
     for n, count in IDEMPOTENT_COUNTS.items():
         assert sum(1 for _ in enumerate_idempotents_bruteforce(n)) == count
+
+
+def test_bruteforce_keeps_exactly_the_maps_equal_to_their_square():
+    # the scan's own law test reads values; this oracle composes each
+    # value tuple with itself, in the order itertools.product lists them
+    for n in range(1, 6):
+        expected = [
+            v
+            for v in itertools.product(range(1, n + 1), repeat=n)
+            if tuple(v[x - 1] for x in v) == v
+        ]
+        assert [f.values for f in enumerate_idempotents_bruteforce(n)] == expected
 
 
 def test_bruteforce_guard():

@@ -34,7 +34,7 @@ SHAPES = [
 
 @functools.lru_cache(maxsize=None)
 def _elements(k, m):
-    return list(gu_enumerate(k, m))
+    return [Permutation(t) for t in gu_enumerate(k, m)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,11 +288,13 @@ def test_exhaustive_level_7_passes():
 
 
 def _check_with(monkeypatch, k, m, change):
-    """Run the gu-axioms check of (k, m) on change(the enumerated elements)."""
+    """Run the gu-axioms check of (k, m) on change(the enumerated elements),
+    which gu_enumerate yields back as forward tables."""
     exact = verify.gu_enumerate
 
     def changed(k, m):
-        return iter(change(list(exact(k, m))))
+        elems = change([Permutation(t) for t in exact(k, m)])
+        return iter([z.forward for z in elems])
 
     monkeypatch.setattr(verify, "gu_enumerate", changed)
     result = verify._check_gu_shape(k, m)
