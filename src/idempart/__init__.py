@@ -4,8 +4,8 @@ The partition number p(n) equals the number of conjugation orbits of
 idempotent self-maps of {1, ..., n} under the symmetric group.  This
 package implements the whole chain with exact integer arithmetic:
 idempotents, each built and checked by one constructor, with their
-images and fibers, the {e, b} representations they define, the
-conjugation action with explicit orbits, stabilizers and their
+images and fibers, each its own representation of the monoid {e, b},
+the conjugation action with explicit orbits, stabilizers and their
 per-fiber-size factor groups, the resulting closed-form product formula
 for p(n), and brute-force oracles cross-checking every identity at
 small n.
@@ -27,9 +27,7 @@ _HOME = {
     "summand_direct": "formula",
     "total_idempotents": "formula",
     "BWord": "representations",
-    "Representation": "representations",
     "apply_rep": "representations",
-    "conjugate_rep": "representations",
     "gamma_hom": "stabilizer",
     "gu_enumerate": "stabilizer",
     "gu_order": "stabilizer",

@@ -87,8 +87,11 @@ class Idempotent:
         return f"Idempotent({self.values})"
 
 
-def enumerate_idempotents_bruteforce(n: int) -> Iterator[Idempotent]:
-    """Filter all n^n self-maps for idempotency.  Oracle use only."""
+def enumerate_idempotents_bruteforce(n: int) -> Iterator[tuple[int, ...]]:
+    """Filter all n^n self-maps for idempotency.  Oracle use only.
+
+    Yields each kept value tuple, in itertools.product order.
+    """
     if not 1 <= n <= BRUTE_FORCE_MAP_LIMIT:
         raise ValueError(
             f"n must lie in 1..{BRUTE_FORCE_MAP_LIMIT} for the n^n scan, got {n}"
@@ -100,7 +103,7 @@ def enumerate_idempotents_bruteforce(n: int) -> Iterator[Idempotent]:
             if vals[v - 1] != v:
                 break
         else:
-            yield Idempotent(vals)
+            yield vals
 
 
 def enumerate_idempotents(n: int) -> Iterator[Idempotent]:

@@ -23,7 +23,7 @@ from .formula import (
     summand_direct,
     type_terms,
 )
-from .representations import BWord, Representation, apply_rep, conjugate_rep
+from .representations import BWord, apply_rep
 from .stabilizer import GU_ENUM_LIMIT, gamma_hom, gu_enumerate, gu_order
 from .symmetric import (
     Permutation,
@@ -155,10 +155,8 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
     pn = p_pentagonal(n)
 
     if n <= BRUTE_FORCE_MAP_LIMIT:
-        # value tuples, not maps: an Idempotent hashes and compares by its
-        # values, so this is the same test, and the oracle's maps and the
-        # set are freed before the level's other checks run
-        brute = {f.values for f in enumerate_idempotents_bruteforce(n)}
+        # the set is freed before the level's other checks run
+        brute = set(enumerate_idempotents_bruteforce(n))
         result = _result(
             f"idempotent-enumeration n={n}",
             {f.values for f in idems} == brute and len(idems) == len(brute),
@@ -234,21 +232,21 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
         )
         yield _result(f"conjugator n={n}", ok, "conjugator postcondition failed")
 
-        # rho respects products of words, and sigma intertwines rho with
-        # sigma . rho; both read single points, not _conjugated's tables
+        # f, acting as rho, respects products of words, and sigma
+        # intertwines f with its conjugate; both read single points, not
+        # _conjugated's tables
         points = range(1, n + 1)
-        reps = [Representation(f) for f in idems]
         ok = all(
-            apply_rep(rho, u * w, x) == apply_rep(rho, u, apply_rep(rho, w, x))
-            for rho in reps
+            apply_rep(f, u * w, x) == apply_rep(f, u, apply_rep(f, w, x))
+            for f in idems
             for u in BWord
             for w in BWord
             for x in points
         ) and all(
-            apply_rep(image, w, sigma(x)) == sigma(apply_rep(rho, w, x))
-            for rho in reps
+            apply_rep(image, w, sigma(x)) == sigma(apply_rep(f, w, x))
+            for f in idems
             for sigma in perms
-            for image in [conjugate_rep(rho, sigma)]
+            for image in [conjugate_idempotent(f, sigma)]
             for w in BWord
             for x in points
         )

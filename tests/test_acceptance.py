@@ -9,11 +9,8 @@ import time
 from collections import Counter
 
 from idempart import (
-    BWord,
-    Representation,
-    apply_rep,
+    Idempotent,
     conjugate_idempotent,
-    conjugate_rep,
     conjugator,
     count_idempotents_of_type,
     count_orbits_burnside,
@@ -77,7 +74,8 @@ def test_criterion_4_per_type_counts():
         tally = Counter(type_vector_of(f) for f in enumerate_idempotents(n))
         if n <= 5:
             brute = Counter(
-                type_vector_of(f) for f in enumerate_idempotents_bruteforce(n)
+                type_vector_of(Idempotent(v))
+                for v in enumerate_idempotents_bruteforce(n)
             )
             assert tally == brute, f"n={n}"
         for g, _, _ in type_terms(n):
@@ -145,18 +143,17 @@ def test_criterion_6_group_structure_and_gamma():
 
 
 def test_criterion_7_equivariance():
+    # each idempotent acts as its own representation of {e, b}, and every
+    # permutation intertwines it with its conjugate, exhaustively for
+    # n <= 4, through the equivariance check that `verify` runs
     for n in range(1, 5):
-        perms = list(enumerate_permutations(n))
-        for f in enumerate_idempotents(n):
-            rho = Representation(f)
-            for sigma in perms:
-                image = conjugate_rep(rho, sigma)
-                for w in BWord:
-                    for x in range(1, n + 1):
-                        assert apply_rep(image, w, sigma(x)) == sigma(
-                            apply_rep(rho, w, x)
-                        ), (f.values, sigma.forward, w, x)
-    report(7, True, "sigma intertwines rho with its conjugate, n = 1..4")
+        (result,) = [
+            r
+            for r in verify._check_exhaustive_level(n)
+            if r.name == f"equivariance n={n}"
+        ]
+        assert result.ok, result
+    report(7, True, "sigma intertwines f with its conjugate, n = 1..4")
 
 
 def test_criterion_8_cumulative_identity():

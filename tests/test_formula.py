@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from idempart import (
+    Idempotent,
     count_idempotents_of_type,
     cumulative_identity,
     enumerate_idempotents,
@@ -52,7 +53,9 @@ def test_count_rejects_weight_mismatch():
 
 def test_count_matches_bruteforce_tally():
     for n in range(1, 6):
-        tally = Counter(type_vector_of(f) for f in enumerate_idempotents_bruteforce(n))
+        tally = Counter(
+            type_vector_of(Idempotent(v)) for v in enumerate_idempotents_bruteforce(n)
+        )
         for g, _, _ in type_terms(n):
             assert count_idempotents_of_type(n, g) == tally[g]
 

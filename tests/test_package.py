@@ -20,9 +20,7 @@ EXPORTS = [
     ("summand_direct", "formula"),
     ("total_idempotents", "formula"),
     ("BWord", "representations"),
-    ("Representation", "representations"),
     ("apply_rep", "representations"),
-    ("conjugate_rep", "representations"),
     ("gamma_hom", "stabilizer"),
     ("gu_enumerate", "stabilizer"),
     ("gu_order", "stabilizer"),

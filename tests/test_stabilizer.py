@@ -6,7 +6,6 @@ from idempart import (
     Idempotent,
     Permutation,
     block_idempotent,
-    conjugate_idempotent,
     gamma_hom,
     gu_enumerate,
     gu_order,
@@ -15,18 +14,6 @@ from idempart import (
     type_vector_of,
     verify,
 )
-
-
-def elements(k, m):
-    return [Permutation(t) for t in gu_enumerate(k, m)]
-
-
-def blocks(z, k):
-    """The per-member blocks of z on 1..k-1, read from its forward table."""
-    return [
-        tuple(v - z.forward[i * k] for v in z.forward[i * k + 1 : i * k + k])
-        for i in range(z.n // k)
-    ]
 
 
 # -------------------------------------------------------------- the group
@@ -69,104 +56,6 @@ def test_gu_enumerate_yields_bijective_forward_tables():
         for t in gu_enumerate(k, m):
             assert isinstance(t, tuple) and len(t) == k * m
             assert sorted(t) == points
-
-
-def test_gu_outer_swap_squares_to_identity():
-    swap = Permutation((3, 4, 1, 2))
-    assert swap in elements(2, 2)
-    assert swap * swap == Permutation.identity(4)
-
-
-def test_gu_multiply_rejects_class_mismatch():
-    # the groups of (k, |U|) = (3, 1) and (2, 2) act on 3 and 4 points
-    z1 = elements(3, 1)[0]
-    z2 = elements(2, 2)[0]
-    with pytest.raises(ValueError):
-        z1 * z2
-    with pytest.raises(ValueError):
-        z2 * z1
-
-
-def test_gu_inverse_examples():
-    # identity inverts to itself
-    ident = Permutation.identity(6)
-    assert ident in elements(3, 2)
-    assert ident.inverse() == ident
-
-    # pure outer 3-cycle inverts to the reverse cycle
-    z = Permutation((2, 3, 1))
-    assert z in elements(1, 3)
-    assert z.inverse() == Permutation((3, 1, 2))
-
-    # pure block element inverts the block in place, root fixed
-    z = Permutation((1, 3, 4, 2))
-    assert z in elements(4, 1)
-    assert z.inverse() == Permutation((1, 4, 2, 3))
-    assert z.inverse() in elements(4, 1)
-
-
-def test_gu_table_holds_the_blocks_end_to_end():
-    # member i owns the points i*k+1 .. i*k+k, root first, and every
-    # element carries each member's block onto one member's block, root
-    # to root
-    for k, m in ((1, 3), (2, 3), (3, 2), (4, 2), (5, 1)):
-        for z in elements(k, m):
-            assert z.n == k * m
-            for i in range(m):
-                image = z.forward[i * k : i * k + k]
-                root = image[0]
-                assert (root - 1) % k == 0
-                assert sorted(image) == list(range(root, root + k))
-
-
-def test_gu_element_validation():
-    # an element of the class group of two fibers of size 3 is exactly a
-    # permutation of [6] that commutes with their block idempotent
-    f = block_idempotent(((3, 2),))
-    group = set(elements(3, 2))
-    for forward in ((1, 3, 2, 4, 5, 6), (4, 6, 5, 1, 2, 3)):
-        z = Permutation(forward)
-        assert z in group
-        assert conjugate_idempotent(f, z) == f
-    for forward in (
-        (1, 2, 2, 4, 5, 6),  # a block is not a bijection
-        (1, 2, 3, 1, 2, 3),  # outer is not a bijection
-        (1, 2, 3, 4, 5, 7),  # a block leaves 1..k*|U|
-    ):
-        with pytest.raises(ValueError):
-            Permutation(forward)
-    for forward in (
-        (2, 1, 3, 4, 5, 6),  # a root goes to a non-root point
-        (1, 2, 4, 3, 5, 6),  # a block leaves its member's points
-        (4, 5, 3, 1, 2, 6),  # a block splits across two members
-    ):
-        z = Permutation(forward)
-        assert z not in group
-        assert conjugate_idempotent(f, z) != f
-        with pytest.raises(ValueError):
-            gamma_hom(z, f, 3)
-    assert Permutation.identity(5) not in group  # too few points
-
-
-def test_gu_blocks_round_trip_through_the_constructor():
-    # member 0 goes to member 1 with the block (3, 1, 2), member 1 to
-    # member 0 with the block (2, 3, 1)
-    z = Permutation([5, 8, 6, 7, 1, 3, 4, 2])
-    assert z in elements(4, 2)
-    assert blocks(z, 4) == [(3, 1, 2), (2, 3, 1)]
-    assert Permutation(z.forward) == z
-    assert eval(repr(z), {"Permutation": Permutation}) == z
-
-
-def test_gu_table_of_fiber_size_one_is_empty():
-    # each member's block is its root alone: the group is S_|U| itself
-    elems = elements(1, 3)
-    assert [z.forward for z in elems] == list(itertools.permutations(range(1, 4)))
-    assert all(blocks(z, 1) == [(), (), ()] for z in elems)
-    z = Permutation((3, 1, 2))
-    assert z * z in elems
-    assert z.inverse() in elems
-    assert blocks(z * z, 1) == blocks(z.inverse(), 1) == [(), (), ()]
 
 
 def test_gu_enumerate_runs_outer_then_blocks_lexicographically():

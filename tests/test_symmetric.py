@@ -25,6 +25,9 @@ def test_permutation_validation():
     p = Permutation((2, 3, 1))
     assert p(1) == 2
     assert p.inverse().forward == (3, 1, 2)
+    # the repr reads back through the checking constructor
+    z = Permutation([5, 8, 6, 7, 1, 3, 4, 2])
+    assert eval(repr(z), {"Permutation": Permutation}) == z
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))
     with pytest.raises(ValueError):
