@@ -29,7 +29,6 @@ _HOME = {
     "BWord": "representations",
     "apply_rep": "representations",
     "gamma_hom": "stabilizer",
-    "gu_enumerate": "stabilizer",
     "gu_order": "stabilizer",
     "stabilizer_order_formula": "formula",
     "Permutation": "symmetric",

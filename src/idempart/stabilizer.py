@@ -8,85 +8,36 @@ fibers onto fibers, so per class it is captured by a permutation of the
 members (the outer part) and, for each member, a permutation of its
 fiber minus its root, read in ascending order.  Those form the wreath
 product S_{k-1} wr S_m, m = g(k), a group of order ((k-1)!)^m * m!.
-Its order, elements and layout depend only on the shape (k, m), one
-entry of the type vector, so gu_order and gu_enumerate take that pair.
-An element is the permutation of the k*m points [1..k*m] that it
-induces on the block idempotent of m fibers of size k: member i (from
-0) owns the points i*k+1 .. i*k+k, its root first, so the product,
-inverse and identity are those of the symmetric group.  gu_enumerate
-yields each element as its forward table, a plain tuple, and gamma_hom
-maps a permutation stabilizing f to its element, as a Permutation, of
-the class group of one fiber size of f.  Multiplying the group orders
-over the type vector recovers the stabilizer size;
-formula.stabilizer_order_formula computes it independently from the
-same vector.  gu_enumerate lists a class group only up to order
-GU_ENUM_LIMIT, the one cap on class groups, and verify checks that
-every shape it lists is a group of the right order.  It builds each
-forward table in one piece, from the block lists of all members but
-the last, each built once, and the last member's blocks, generated as
-they are needed.
+Its order and layout depend only on the shape (k, m), one entry of the
+type vector, so gu_order takes that pair.  An element is the
+permutation of the k*m points [1..k*m] that it induces on the block
+idempotent of m fibers of size k: member i (from 0) owns the points
+i*k+1 .. i*k+k, its root first, so the product, inverse and identity
+are those of the symmetric group.  gamma_hom maps a permutation
+stabilizing f to its element, as a Permutation, of the class group of
+one fiber size of f.  Multiplying the group orders over the type vector
+recovers the stabilizer size; formula.stabilizer_order_formula computes
+it independently from the same vector, and verify checks on every shape
+up to its cap that independent generators generate a group of order
+gu_order inside the stabilizer of the block idempotent.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-from typing import Iterator
 
 from .symmetric import Permutation, _conjugated
 from .transformations import Idempotent
 
 __all__ = [
     "gamma_hom",
-    "gu_enumerate",
     "gu_order",
 ]
-
-# largest class-group order that gu_enumerate lists
-GU_ENUM_LIMIT = 10_000
 
 
 def gu_order(k: int, m: int) -> int:
     """Order ((k-1)!)^m * m! of the class group of m fibers of size k."""
     return math.factorial(k - 1) ** m * math.factorial(m)
-
-
-def gu_enumerate(k: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Every element of the class group of m fibers of size k exactly once.
-
-    Each element is the forward table, a tuple of [1..k*m], of its
-    permutation, laid out as in the module docstring; Permutation(table)
-    gives the group element.  Outer parts run in lexicographic order,
-    and for each the tuples of member blocks in lexicographic order.
-    """
-    order = gu_order(k, m)
-    if order > GU_ENUM_LIMIT:
-        raise ValueError(f"class group of order {order} exceeds {GU_ENUM_LIMIT}")
-
-    @functools.cache
-    def blocks(target: int) -> list[tuple[int, ...]]:
-        # the (k-1)! images, in lexicographic order, of a member's block
-        # when the member goes to target: its root to the target's root
-        # and the rest onto the rest of the target's block
-        root = target * k + 1
-        rest = range(root + 1, root + k)
-        return [(root, *images) for images in itertools.permutations(rest)]
-
-    for outer in itertools.permutations(range(m)):
-        # the blocks of every member but the last are walked as one
-        # product of held lists, each built once per target (at most 48
-        # tuples in all, at k = 5, |U| = 2); the last member's are
-        # generated as they are needed, so k = 8, |U| = 1 holds none of
-        # its 5,040.  The pools are passed from a list: star-arguments
-        # from a map are built in a longer tuple and then shrunk, and
-        # CPython would keep up to 2,000 of those in a free list
-        *front, last = outer
-        root = last * k + 1
-        for head in itertools.product(*[blocks(t) for t in front]):
-            prefix = sum(head, ())
-            for rest in itertools.permutations(range(root + 1, root + k)):
-                yield (*prefix, root, *rest)
 
 
 def gamma_hom(sigma: Permutation, f: Idempotent, k: int) -> Permutation:

@@ -24,7 +24,7 @@ from .formula import (
     type_terms,
 )
 from .representations import BWord, apply_rep
-from .stabilizer import GU_ENUM_LIMIT, gamma_hom, gu_enumerate, gu_order
+from .stabilizer import gamma_hom, gu_order
 from .symmetric import (
     Permutation,
     _orbit_stats,
@@ -55,8 +55,12 @@ def _result(name: str, ok: bool, detail_fail: str) -> CheckResult:
     return CheckResult(name, ok, "" if ok else detail_fail)
 
 
+# largest class-group order that gu-axioms closes its generators up to
+GU_ENUM_LIMIT = 10_000
+
+
 def _gu_shapes() -> list[tuple[int, int]]:
-    """Every (k, |U|) whose class group gu_enumerate lists, k then |U| ascending.
+    """Every (k, |U|) whose class group gu-axioms checks, k then |U| ascending.
 
     The order ((k-1)!)^|U| * |U|! never falls as k or |U| grows, so each
     loop ends at the first order above GU_ENUM_LIMIT.
@@ -74,10 +78,10 @@ def _gu_shapes() -> list[tuple[int, int]]:
 def _gu_generators(k: int, m: int) -> list[tuple[int, ...]]:
     """Forward tables of generators of S_{k-1} wr S_m on [k*m].
 
-    Written from the layout alone, not from gu_enumerate: a transposition
-    and a (k-1)-cycle of member 0's non-root points 2..k, a swap of
-    members 0 and 1, and a cycle of all members, each left out where it
-    is the identity or repeats another.
+    Written from the layout alone: a transposition and a (k-1)-cycle of
+    member 0's non-root points 2..k, a swap of members 0 and 1, and a
+    cycle of all members, each left out where it is the identity or
+    repeats another.
     """
     points = list(range(1, k * m + 1))
     generators = []
@@ -94,58 +98,51 @@ def _gu_generators(k: int, m: int) -> list[tuple[int, ...]]:
     return [tuple(g) for g in generators]
 
 
-def _check_gu_shape(k: int, m: int) -> CheckResult:
-    """The class group of m fibers of size k is a group of gu_order elements.
+def _gu_closure(k: int, m: int) -> set[bytes]:
+    """Forward tables, as bytes, of the group that _gu_generators(k, m) generates.
 
-    The generators of _gu_generators must commute with the block
-    idempotent whose fibers they permute, and the enumerated elements
-    must be distinct and gu_order of them.  Left multiplication by the
-    generators, from the identity, must then reach every element and
-    nothing else: the enumerated set is the subgroup of S_{k*m} that
-    they generate.  The permutations that commute with the idempotent
-    form a subgroup too, so every element commutes with it.
+    Left products by the generators from the identity; the closure stops
+    as soon as it holds more than GU_ENUM_LIMIT tables.
+    """
+    # translate sends each byte v of z's forward table to byte v of g256,
+    # g's table padded to 256 bytes, so it gives the table of g * z
+    padded = [bytes([0, *g, *range(k * m + 1, 256)]) for g in _gu_generators(k, m)]
+    identity = bytes(range(1, k * m + 1))
+    reached = {identity}
+    unexpanded = [identity]
+    while unexpanded:
+        table = unexpanded.pop()
+        for g256 in padded:
+            product = table.translate(g256)
+            if product not in reached:
+                reached.add(product)
+                if len(reached) > GU_ENUM_LIMIT:
+                    return reached
+                unexpanded.append(product)
+    return reached
+
+
+def _check_gu_shape(k: int, m: int) -> CheckResult:
+    """The class group of m fibers of size k, as the closure of its generators.
+
+    Each generator of _gu_generators must commute with the block
+    idempotent whose fibers they permute, so the group they generate
+    lies in its stabilizer, of gu_order(k, m) elements
+    (stabilizer-class-product ties that order to brute force).  A
+    closure of exactly that many elements is then the whole stabilizer.
     """
     f = block_idempotent(((k, m),))
     order = gu_order(k, m)
     name = f"gu-axioms k={k} |U|={m}"
     values = f.values
-    generators = _gu_generators(k, m)
-    for g in generators:
+    for g in _gu_generators(k, m):
         if [g[v - 1] for v in values] != [values[v - 1] for v in g]:
             detail = f"{Permutation(g)} does not commute with {f}"
             return CheckResult(name, False, detail)
-    # each element is held once, as the bytes of its forward table mapped
-    # to its index; the enumerated tuples are dropped as they come
-    index: dict[bytes, int] = {}
-    enumerated = 0
-    for z in gu_enumerate(k, m):
-        enumerated += 1
-        index.setdefault(bytes(z), len(index))
-    if enumerated != order or len(index) != order:
-        detail = f"enumerated {enumerated}, {len(index)} distinct != {order}"
+    count = len(_gu_closure(k, m))
+    if count > GU_ENUM_LIMIT:
+        detail = f"the generators reach more than {GU_ENUM_LIMIT} elements"
         return CheckResult(name, False, detail)
-    start = index.get(bytes(range(1, k * m + 1)))
-    if start is None:
-        return CheckResult(name, False, "the identity is not enumerated")
-    tables = list(index)
-    # translate sends each byte v of z's forward table to byte v of g256,
-    # g's table padded to 256 bytes, so it gives the table of g * z
-    padded = [(g, bytes([0, *g, *range(k * m + 1, 256)])) for g in generators]
-    reached = bytearray(order)
-    reached[start] = 1
-    count = 1
-    unexpanded = [start]
-    while unexpanded:
-        table = tables[unexpanded.pop()]
-        for g, g256 in padded:
-            j = index.get(table.translate(g256))
-            if j is None:
-                detail = f"{Permutation(g)} * {Permutation(table)} is not enumerated"
-                return CheckResult(name, False, detail)
-            if not reached[j]:
-                reached[j] = 1
-                count += 1
-                unexpanded.append(j)
     return _result(name, count == order, f"the generators reach {count} of {order}")
 
 
@@ -252,6 +249,10 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
         )
         yield _result(f"equivariance n={n}", ok, "representation law fails")
 
+        # each image must lie in the class group of its shape, the
+        # generator closure, built once per shape on the level
+        shapes = {shape for g in set(types) for shape in g}
+        closures = {shape: _gu_closure(*shape) for shape in shapes}
         ok = True
         for f, g in zip(idems, types):
             stab = stabilizer_bruteforce(f)
@@ -269,7 +270,12 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
                             ok = False
                 if len(set(images.values())) != gu_order(k, m):
                     ok = False
-        yield _result(f"gamma-homomorphism n={n}", ok, "hom/surjectivity failed")
+                closure = closures[k, m]
+                if any(bytes(z.forward) not in closure for z in images.values()):
+                    ok = False
+        yield _result(
+            f"gamma-homomorphism n={n}", ok, "hom/closure/surjectivity failed"
+        )
 
 
 def _check_formula_level(n: int) -> Iterator[CheckResult]:

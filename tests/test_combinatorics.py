@@ -93,13 +93,13 @@ def test_partition_count_n10():
 # ---------------------------------------------------------- type vectors
 
 
-def test_enumerate_type_vectors_small():
+def test_type_terms_small():
     assert [g for g, _, _ in type_terms(1)] == [((1, 1),)]
     assert {g for g, _, _ in type_terms(2)} == {((1, 2),), ((2, 1),)}
     assert sum(1 for _ in type_terms(4)) == 5
 
 
-def test_enumerate_type_vectors_bijective_image():
+def test_type_terms_bijective_image():
     assert multiplicities((2, 1)) == ((1, 1), (2, 1))
     assert multiplicities((1, 1, 1)) == ((1, 3),)
     for n in range(1, 31):
@@ -113,7 +113,7 @@ def test_enumerate_type_vectors_bijective_image():
         assert tvs == [multiplicities(p) for p in parts]
 
 
-def test_enumerate_type_vectors_rejects_zero():
+def test_type_terms_rejects_zero():
     with pytest.raises(ValueError):
         list(type_terms(0))
 

@@ -22,7 +22,6 @@ EXPORTS = [
     ("BWord", "representations"),
     ("apply_rep", "representations"),
     ("gamma_hom", "stabilizer"),
-    ("gu_enumerate", "stabilizer"),
     ("gu_order", "stabilizer"),
     ("stabilizer_order_formula", "formula"),
     ("Permutation", "symmetric"),

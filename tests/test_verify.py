@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import pytest
@@ -19,7 +20,7 @@ from idempart import (
 )
 from idempart.cli import main
 from idempart.combinatorics import RemainderError
-from idempart.stabilizer import gu_enumerate, gu_order
+from idempart.stabilizer import gu_order
 from idempart.symmetric import Permutation, _conjugated
 
 
@@ -34,7 +35,18 @@ SHAPES = [
 
 @functools.lru_cache(maxsize=None)
 def _elements(k, m):
-    return [Permutation(t) for t in gu_enumerate(k, m)]
+    """Every element of S_{k-1} wr S_m on [k*m], built from the layout
+    alone: each outer part with each tuple of member blocks."""
+    base = list(itertools.permutations(range(1, k)))
+    elements = []
+    for outer in itertools.permutations(range(m)):
+        for blocks in itertools.product(base, repeat=m):
+            forward = []
+            for target, block in zip(outer, blocks):
+                root = target * k + 1
+                forward += [root] + [root + v for v in block]
+            elements.append(Permutation(forward))
+    return elements
 
 
 @functools.lru_cache(maxsize=None)
@@ -78,7 +90,7 @@ def test_table_product_and_inverse_match_permutation_objects(data):
     # the product that the gu-axioms check composes on forward tables is
     # Permutation's, and it and the inverse are the wreath product's,
     # recomputed block by block through Permutation objects as an
-    # independent oracle; both stay in the enumerated group
+    # independent oracle; both stay in the group
     k, m = data.draw(st.sampled_from(SHAPES))
     elems = _elements(k, m)
     a, b = (data.draw(st.sampled_from(elems)) for _ in range(2))
@@ -273,6 +285,27 @@ def test_gamma_homomorphism_check_fails_on_a_broken_product(monkeypatch):
     assert _failed(3) == {"gamma-homomorphism"}
 
 
+def test_gamma_homomorphism_check_fails_on_images_outside_the_class_group(monkeypatch):
+    # tau * gamma(sigma) * tau^-1, tau the swap of points 1 and 2, is a
+    # homomorphism onto a group of gu_order elements too; from k = 2 on,
+    # that group moves a member's root into its fiber, so only the
+    # membership of each image in the generator closure tells. The first
+    # shape where it differs is the constant map on [3]: (1, 3, 2)
+    # becomes (3, 2, 1)
+    exact = verify.gamma_hom
+
+    def gamma_hom(sigma, f, k):
+        z = exact(sigma, f, k)
+        if z.n < 2:
+            return z
+        tau = Permutation((2, 1, *range(3, z.n + 1)))
+        return tau * z * tau.inverse()
+
+    monkeypatch.setattr(verify, "gamma_hom", gamma_hom)
+    failed = [_failed(n) for n in range(1, 5)]
+    assert failed == [set(), set(), {"gamma-homomorphism"}, {"gamma-homomorphism"}]
+
+
 def test_exhaustive_level_7_passes():
     results = list(verify._check_exhaustive_level(7))
     assert [r.name.split(" ")[0] for r in results] == [
@@ -287,84 +320,9 @@ def test_exhaustive_level_7_passes():
     assert all(r.ok for r in results), [r for r in results if not r.ok]
 
 
-def _check_with(monkeypatch, k, m, change):
-    """Run the gu-axioms check of (k, m) on change(the enumerated elements),
-    which gu_enumerate yields back as forward tables."""
-    exact = verify.gu_enumerate
-
-    def changed(k, m):
-        elems = change([Permutation(t) for t in exact(k, m)])
-        return iter([z.forward for z in elems])
-
-    monkeypatch.setattr(verify, "gu_enumerate", changed)
-    result = verify._check_gu_shape(k, m)
-    assert result.name == f"gu-axioms k={k} |U|={m}"
-    assert not result.ok
-    return result.detail
-
-
 def test_gu_axioms_check_passes_and_draws_no_random_numbers():
     assert verify._check_gu_shape(3, 2).ok
     assert "random" not in vars(verify)
-
-
-def test_gu_axioms_check_fails_on_a_dropped_element(monkeypatch):
-    detail = _check_with(monkeypatch, 3, 4, lambda elems: elems[:-1])
-    assert detail == "enumerated 383, 383 distinct != 384"
-
-
-def test_gu_axioms_check_fails_on_an_element_that_does_not_commute(monkeypatch):
-    # the swap of the first member's root with its first non-root point
-    # moves a fiber's root off the image of the block idempotent; it
-    # takes the place of (4, 5, 6, 1, 3, 2), which the closure then
-    # reaches as the transposition of member 0's non-root points times
-    # the member swap, and finds missing
-    bad = Permutation((2, 1, 3, 4, 5, 6))
-    missing = _elements(3, 2)[5]
-    transposition = Permutation((1, 3, 2, 4, 5, 6))
-    swap = Permutation((4, 5, 6, 1, 2, 3))
-    assert transposition * swap == missing
-    f = block_idempotent(((3, 2),))
-    assert conjugate_idempotent(f, bad) != f
-
-    def swap_in(elems):
-        elems[5] = bad
-        return elems
-
-    detail = _check_with(monkeypatch, 3, 2, swap_in)
-    assert detail == f"{transposition} * {swap} is not enumerated"
-
-
-def test_gu_axioms_check_fails_without_the_identity(monkeypatch):
-    # the first element listed is the identity; an element outside the
-    # group in its place keeps the counts, and the closure has no start
-    def swap_in(elems):
-        assert elems[0] == Permutation.identity(6)
-        elems[0] = Permutation((2, 1, 3, 4, 5, 6))
-        return elems
-
-    assert _check_with(monkeypatch, 3, 2, swap_in) == "the identity is not enumerated"
-
-
-def test_gu_axioms_check_fails_on_an_element_of_another_class(monkeypatch):
-    # the last element of the class group of three fibers of size 2,
-    # (5, 6, 3, 4, 1, 2), gives way to an element of the class group of
-    # two fibers of size 3 on the same six points: the counts still hold,
-    # and the closure reaches the dropped element as the member swap
-    # times the square of the member cycle, and finds it missing
-    bad = Permutation((1, 3, 2, 4, 5, 6))
-    assert bad in _elements(3, 2)
-    assert bad not in _elements(2, 3)
-    swap = Permutation((3, 4, 1, 2, 5, 6))
-    cycle_squared = Permutation((5, 6, 1, 2, 3, 4))
-    assert swap * cycle_squared == _elements(2, 3)[-1]
-
-    def swap_in(elems):
-        elems[-1] = bad
-        return elems
-
-    detail = _check_with(monkeypatch, 2, 3, swap_in)
-    assert detail == f"{swap} * {cycle_squared} is not enumerated"
 
 
 def test_gu_axioms_check_fails_on_a_product_outside_the_group(monkeypatch):
@@ -411,6 +369,26 @@ def test_gu_axioms_check_fails_when_the_generators_reach_too_few(monkeypatch):
     assert result.detail == "the generators reach 2 of 8"
 
 
+def test_gu_axioms_check_fails_on_a_wrong_order(monkeypatch):
+    # the generators reach all 8 elements of S_2 wr S_2, one short of an
+    # order off by one
+    exact = verify.gu_order
+    monkeypatch.setattr(verify, "gu_order", lambda k, m: exact(k, m) + 1)
+    result = verify._check_gu_shape(3, 2)
+    assert not result.ok
+    assert result.detail == "the generators reach 8 of 9"
+
+
+def test_gu_axioms_check_fails_at_the_cap(monkeypatch):
+    # S_2 wr S_4 has 384 elements; under a cap of 100 the closure stops
+    # at the 101st table it reaches
+    monkeypatch.setattr(verify, "GU_ENUM_LIMIT", 100)
+    assert len(verify._gu_closure(3, 4)) == 101
+    result = verify._check_gu_shape(3, 4)
+    assert not result.ok
+    assert result.detail == "the generators reach more than 100 elements"
+
+
 def _closure(generators, n):
     """The group that generators generate in S_n, by Permutation products."""
     reached = {Permutation.identity(n)}
@@ -423,8 +401,8 @@ def _closure(generators, n):
 
 def test_gu_axioms_closes_the_generators_on_every_shape(monkeypatch):
     # the 27 shapes of order <= 10,000 in order, and on each the
-    # generators that the check closes under generate exactly the
-    # enumerated class group, of gu_order elements
+    # generators that the check closes under generate exactly the class
+    # group built from the layout, of gu_order elements
     generators = {}
     exact = verify._gu_generators
 
@@ -451,33 +429,3 @@ def test_gu_axioms_closes_the_generators_on_every_shape(monkeypatch):
         assert len(generators[k, m]) <= 4
         assert len(group) == order, (k, m)
         assert group == set(_elements(k, m)), (k, m)
-
-
-def test_gu_axioms_covers_every_shape_gu_enumerate_lists():
-    # one cap: the class groups that gu_enumerate lists are exactly the
-    # shapes gu-axioms checks, and it refuses every other
-    checked = verify._gu_shapes()
-    listed = []
-    for k in range(1, 11):
-        for m in range(1, 11):
-            elements = gu_enumerate(k, m)
-            if (k, m) in checked:
-                next(elements)
-                listed.append((k, m))
-            else:
-                with pytest.raises(ValueError):
-                    next(elements)
-    assert listed == checked
-
-
-@pytest.mark.parametrize("k, m", [(8, 1), (1, 7), (3, 5), (3, 4)])
-def test_gu_axioms_check_fails_on_a_repeated_element(monkeypatch, k, m):
-    # one element enumerated twice in place of another: every element
-    # still lies in the group, only their count of distinct ones tells
-    def repeat(elems):
-        elems[-1] = elems[1]
-        return elems
-
-    order = math.factorial(k - 1) ** m * math.factorial(m)
-    detail = _check_with(monkeypatch, k, m, repeat)
-    assert detail == f"enumerated {order}, {order - 1} distinct != {order}"
