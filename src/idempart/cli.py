@@ -185,17 +185,17 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
-    from .symmetric import _conjugation_sweep, enumerate_permutations
+    from .symmetric import _conjugation_sweep, _permutation_tables
     from .transformations import block_idempotent
 
     n = args.n
     start = time.perf_counter()
     nfact = math.factorial(n)
-    perms = list(enumerate_permutations(n))
+    tables = _permutation_tables(n)
     rows = 0
     all_ok = True
     for g, _, _ in type_terms(n):
-        orbit, stabilizer = _conjugation_sweep(block_idempotent(g).values, perms)
+        orbit, stabilizer = _conjugation_sweep(block_idempotent(g).values, tables)
         size = len(orbit)
         stab = len(stabilizer)
         ok = size * stab == nfact

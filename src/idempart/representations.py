@@ -45,4 +45,4 @@ def apply_rep(f: Idempotent, w: BWord, x: int) -> int:
         raise ValueError(f"point {x} outside [1..{f.n}]")
     if w is BWord.IDENT:
         return x
-    return f(x)
+    return f.values[x - 1]

@@ -7,7 +7,10 @@ the witnessing conjugator explicitly.  The exhaustive oracles enumerate
 all n! permutations, so they accept n <= 8 only, and back the
 closed-form counts elsewhere in the package.  The Burnside count and
 verify share one stabilizer tally, which conjugates one representative
-per orbit by all of them and carries its stabilizer to the orbit.
+per orbit by all of them and carries its stabilizer to the orbit.  The
+tally and the orbit sweep hold each permutation as a pair of byte
+tables and compose maps by bytes.translate; the public functions and
+the oracles conjugate value tuples, an independent reference for them.
 """
 
 from __future__ import annotations
@@ -124,23 +127,43 @@ def orbit_of(f: Idempotent) -> set[Idempotent]:
     return {Idempotent(vals) for vals in seen}
 
 
-def _conjugation_sweep(
-    values: tuple[int, ...], perms: Sequence[Permutation]
-) -> tuple[dict[tuple[int, ...], Permutation], list[Permutation]]:
-    """Conjugate one value tuple by every permutation in perms.
+def _permutation_tables(n: int) -> list[tuple[bytes, bytes]]:
+    """Every permutation of [n] as its pair of bytes.translate tables.
 
-    Returns the orbit, each member mapped to the first permutation that
-    carries values onto it, and the permutations that fix values.  With
-    perms all of S_n that is the whole orbit and the whole stabilizer.
+    The pair is the inverse table, n bytes, and the forward table padded
+    to 256 bytes, where byte x holds the image of x (byte 0 and the
+    padding are unused).  The pairs come in enumerate_permutations order.
     """
-    conjugators: dict[tuple[int, ...], Permutation] = {}
+    pad = bytes(255 - n)
+    return [
+        (bytes(sigma.backward), b"\0" + bytes(sigma.forward) + pad)
+        for sigma in enumerate_permutations(n)
+    ]
+
+
+def _conjugation_sweep(
+    values: Sequence[int], tables: Sequence[tuple[bytes, bytes]]
+) -> tuple[dict[bytes, tuple[bytes, bytes]], list[tuple[bytes, bytes]]]:
+    """Conjugate one value tuple by every permutation in tables.
+
+    Returns the orbit as byte strings of values, each member mapped to
+    the table pair of the first permutation that carries values onto
+    it, and the pairs of the permutations that fix values.  With tables
+    all of S_n that is the whole orbit and the whole stabilizer.
+    """
+    rep = bytes(values)
+    f256 = b"\0" + rep + bytes(255 - len(rep))
+    conjugators: dict[bytes, tuple[bytes, bytes]] = {}
+    first = conjugators.setdefault
     stabilizer = []
-    for sigma in perms:
-        conj = _conjugated(values, sigma)
-        if conj == values:
-            stabilizer.append(sigma)
-        if conj not in conjugators:
-            conjugators[conj] = sigma
+    for pair in tables:
+        # the x-th byte of inv is sigma^-1(x); f and then sigma carry it
+        # to sigma.f.sigma^-1(x)
+        inv, fwd = pair
+        conj = inv.translate(f256).translate(fwd)
+        if conj == rep:
+            stabilizer.append(pair)
+        first(conj, pair)
     return conjugators, stabilizer
 
 
@@ -184,17 +207,18 @@ def stabilizer_bruteforce(f: Idempotent) -> tuple[Permutation, ...]:
     )
 
 
-def _orbit_stats(idems, perms):
+def _orbit_stats(idems, tables):
     """Per-idempotent stabilizer count and orbit key, orbit by orbit.
 
-    Each idempotent r that no earlier orbit holds is conjugated by every
-    permutation: that gives its orbit, a conjugator s_f for each member
-    f, and Stab(r).  The count of f is the number of distinct
+    tables are the pairs of _permutation_tables(n).  Each idempotent r
+    that no earlier orbit holds is conjugated by every permutation:
+    that gives its orbit, a conjugator s_f for each member f, and
+    Stab(r).  The count of f is the number of distinct
     s_f.sigma.s_f^-1, sigma in Stab(r), checked to fix f, or 0 if s_f
     does not carry r onto f.  When it does, Stab(f) = s_f.Stab(r).s_f^-1,
     so the count is |Stab(f)|.  The key of f is its orbit's
-    representative r.  The flag says whether the orbits are disjoint
-    and cover the enumerated idempotents, each once.
+    representative r, as a value tuple.  The flag says whether the
+    orbits are disjoint and cover the enumerated idempotents, each once.
     """
     key_of = {}
     count_of = {}
@@ -203,24 +227,25 @@ def _orbit_stats(idems, perms):
         rep = f.values
         if rep in key_of:
             continue
-        conjugators, stab = _conjugation_sweep(rep, perms)
-        for member, s in conjugators.items():
-            disjoint &= member not in key_of
-            key_of[member] = rep
-            if _conjugated(rep, s) != member:
-                count_of[member] = 0
+        pad = bytes(255 - len(rep))
+        f256 = b"\0" + bytes(rep) + pad
+        conjugators, stab = _conjugation_sweep(rep, tables)
+        for member, (inv_s, s256) in conjugators.items():
+            key = tuple(member)
+            disjoint &= key not in key_of
+            key_of[key] = rep
+            if inv_s.translate(f256).translate(s256) != member:
+                count_of[key] = 0
                 continue
-            # t = s.sigma.s^-1 is built as a forward table; t.f.t^-1 = f
-            # iff t.f = f.t, so the fix test needs no inverse of t
-            fwd_s = s.forward
-            inv_s = s.backward
+            # t = s.sigma.s^-1 as a forward table; t.f.t^-1 = f iff
+            # t.f = f.t, so the fix test needs no inverse of t
+            m256 = b"\0" + member + pad
             fixing = set()
-            for sigma in stab:
-                fwd_sigma = sigma.forward
-                fwd = tuple([fwd_s[fwd_sigma[v - 1] - 1] for v in inv_s])
-                if [fwd[v - 1] for v in member] == [member[v - 1] for v in fwd]:
-                    fixing.add(fwd)
-            count_of[member] = len(fixing)
+            for _, sigma256 in stab:
+                t = inv_s.translate(sigma256).translate(s256)
+                if member.translate(b"\0" + t + pad) == t.translate(m256):
+                    fixing.add(t)
+            count_of[key] = len(fixing)
     values = [f.values for f in idems]
     enumerated = set(values)
     partition = (
@@ -239,6 +264,6 @@ def count_orbits_burnside(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    perms = list(enumerate_permutations(n))
-    counts, _, _ = _orbit_stats(list(enumerate_idempotents(n)), perms)
+    tables = _permutation_tables(n)
+    counts, _, _ = _orbit_stats(list(enumerate_idempotents(n)), tables)
     return exact_div(sum(counts), math.factorial(n))

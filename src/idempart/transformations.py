@@ -12,7 +12,6 @@ cross-check at small n.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from types import MappingProxyType
 from typing import Iterable, Iterator
 
@@ -137,7 +136,8 @@ def type_vector_of(f: Idempotent) -> tuple[tuple[int, int], ...]:
     g(k) is the number of image points whose fiber has k points; sizes
     with g(k) = 0 are left out.
     """
-    return tuple(sorted(Counter(map(len, f.fibers.values())).items()))
+    sizes = [len(fiber) for fiber in f.fibers.values()]
+    return tuple([(k, sizes.count(k)) for k in sorted(set(sizes))])
 
 
 def block_idempotent(g: tuple[tuple[int, int], ...]) -> Idempotent:

@@ -28,6 +28,7 @@ from .stabilizer import gamma_hom, gu_order
 from .symmetric import (
     Permutation,
     _orbit_stats,
+    _permutation_tables,
     conjugate_idempotent,
     conjugator,
     enumerate_permutations,
@@ -148,7 +149,6 @@ def _check_gu_shape(k: int, m: int) -> CheckResult:
 
 def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
     idems = list(enumerate_idempotents(n))
-    perms = list(enumerate_permutations(n))
     pn = p_pentagonal(n)
 
     if n <= BRUTE_FORCE_MAP_LIMIT:
@@ -162,7 +162,7 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
         del brute
         yield result
 
-    stab_counts, orbit_keys, partition = _orbit_stats(idems, perms)
+    stab_counts, orbit_keys, partition = _orbit_stats(idems, _permutation_tables(n))
     # one type vector per idempotent, read by the checks below; equal
     # vectors share one tuple, so the level holds p(n) of them, not |I(n)|
     shared: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
@@ -233,6 +233,7 @@ def _check_exhaustive_level(n: int) -> Iterator[CheckResult]:
         # intertwines f with its conjugate; both read single points, not
         # _conjugated's tables
         points = range(1, n + 1)
+        perms = list(enumerate_permutations(n))
         ok = all(
             apply_rep(f, u * w, x) == apply_rep(f, u, apply_rep(f, w, x))
             for f in idems

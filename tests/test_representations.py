@@ -18,8 +18,11 @@ def test_apply_rep():
     assert apply_rep(f, BWord.GEN, 3) == 1
     collapsing = Idempotent((1, 1, 1))
     assert [apply_rep(collapsing, BWord.GEN, x) for x in (1, 2, 3)] == [1, 1, 1]
-    with pytest.raises(ValueError):
-        apply_rep(f, BWord.GEN, 4)
+    # a value tuple read at x - 1 would wrap round at 0 and below
+    for x in (4, 0, -1):
+        for w in BWord:
+            with pytest.raises(ValueError, match="outside"):
+                apply_rep(f, w, x)
     with pytest.raises(TypeError):
         apply_rep(f, "e", 3)  # a string is no word, though it names e
     # b acts only as an idempotent: a value tuple, even an idempotent one,

@@ -18,7 +18,12 @@ from idempart import (
     stabilizer_bruteforce,
     type_vector_of,
 )
-from idempart.symmetric import PERMUTATION_ENUM_LIMIT, _conjugation_sweep
+from idempart.symmetric import (
+    PERMUTATION_ENUM_LIMIT,
+    _conjugated,
+    _conjugation_sweep,
+    _permutation_tables,
+)
 
 
 def test_permutation_validation():
@@ -98,15 +103,46 @@ def test_every_permutation_is_returned_with_both_tables():
         assert tuple(sigma.forward[v - 1] for v in backward) == (1, 2, 3)
 
 
-def test_conjugation_sweep_matches_orbit_and_stabilizer_oracles():
-    for n in range(1, 6):
+def _permutation(pair, n):
+    # the forward table is byte 1..n of the padded one
+    return Permutation(pair[1][1 : n + 1])
+
+
+def test_permutation_tables_hold_inverse_and_padded_forward():
+    for n in range(0, 6):
+        tables = _permutation_tables(n)
         perms = list(enumerate_permutations(n))
+        assert len(tables) == len(perms)
+        for (inv, fwd), sigma in zip(tables, perms):
+            assert tuple(inv) == sigma.backward
+            assert len(fwd) == 256
+            assert tuple(fwd[1 : n + 1]) == sigma.forward
+            assert not any(fwd[0:1] + fwd[n + 1 :])
+
+
+def test_byte_kernel_matches_tuple_conjugation():
+    # a one-pair sweep returns the conjugate of f by that pair alone, so
+    # this reads every (f, sigma) conjugation the byte kernel makes
+    for n in range(1, 6):
+        pairs = list(zip(_permutation_tables(n), enumerate_permutations(n)))
         for f in enumerate_idempotents(n):
-            conjugators, stab = _conjugation_sweep(f.values, perms)
+            for pair, sigma in pairs:
+                (conj,), stab = _conjugation_sweep(f.values, [pair])
+                assert tuple(conj) == _conjugated(f.values, sigma)
+                assert bool(stab) == (tuple(conj) == f.values)
+
+
+def test_conjugation_sweep_matches_orbit_and_stabilizer_oracles():
+    # orbit_of, stabilizer_bruteforce and conjugate_idempotent conjugate
+    # value tuples, not the byte tables the sweep composes
+    for n in range(1, 6):
+        tables = _permutation_tables(n)
+        for f in enumerate_idempotents(n):
+            conjugators, stab = _conjugation_sweep(f.values, tables)
             assert {Idempotent(v) for v in conjugators} == orbit_of(f)
-            assert tuple(stab) == stabilizer_bruteforce(f)
+            assert tuple(_permutation(s, n) for s in stab) == stabilizer_bruteforce(f)
             assert all(
-                conjugate_idempotent(f, s).values == g
+                conjugate_idempotent(f, _permutation(s, n)).values == tuple(g)
                 for g, s in conjugators.items()
             )
 

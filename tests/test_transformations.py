@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -157,6 +158,13 @@ def test_type_vector_of_examples():
     assert type_vector_of(Idempotent((1, 1, 1))) == ((3, 1),)
     assert type_vector_of(Idempotent((1, 2, 1))) == ((1, 1), (2, 1))
     assert type_vector_of(Idempotent((1, 2, 1, 4, 4))) == ((1, 1), (2, 2))
+
+
+def test_type_vector_of_matches_the_counter_of_fiber_sizes():
+    for n in range(1, 7):
+        for f in enumerate_idempotents(n):
+            sizes = Counter(len(fiber) for fiber in f.fibers.values())
+            assert type_vector_of(f) == tuple(sorted(sizes.items()))
 
 
 def test_type_vector_weight_invariant():

@@ -157,11 +157,17 @@ def test_orbit_by_orbit_oracle_matches_the_full_sweep():
     for n in range(1, 7):
         idems = list(enumerate_idempotents(n))
         perms = list(enumerate_permutations(n))
-        counts, keys, partition = symmetric._orbit_stats(idems, perms)
+        tables = symmetric._permutation_tables(n)
+        counts, keys, partition = symmetric._orbit_stats(idems, tables)
         old_counts, old_keys = _full_sweep(idems, perms)
         assert partition
         assert counts == old_counts
         assert _partition(idems, keys) == _partition(idems, old_keys)
+        # each key is the value tuple of the first enumerated member
+        first = {}
+        for f, key in zip(idems, old_keys):
+            first.setdefault(key, f.values)
+        assert keys == [first[key] for key in old_keys]
 
 
 def _failed(n):
@@ -195,13 +201,13 @@ def _swap_two_conjugators(monkeypatch):
     exact = symmetric._conjugation_sweep
     swapped = []
 
-    def sweep(values, perms):
-        conjugators, stab = exact(values, perms)
+    def sweep(values, tables):
+        conjugators, stab = exact(values, tables)
         # two members with one stabilizer trade conjugators, so conjugating
         # Stab(r) by the wrong one still gives permutations that fix f
         by_stabilizer = {}
         for g in conjugators:
-            fixing = frozenset(s for s in perms if _conjugated(g, s) == g)
+            fixing = frozenset(exact(g, tables)[1])
             by_stabilizer.setdefault(fixing, []).append(g)
         pair = next((gs[:2] for gs in by_stabilizer.values() if len(gs) > 1), None)
         if pair and not swapped:
