@@ -185,7 +185,7 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
-    from .symmetric import _conjugation_sweep, _permutation_tables
+    from .symmetric import _conjugation_sweep, _permutation_tables, _stabilizer_order
     from .transformations import block_idempotent
 
     n = args.n
@@ -195,9 +195,10 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     rows = 0
     all_ok = True
     for g, _, _ in type_terms(n):
-        orbit, stabilizer = _conjugation_sweep(block_idempotent(g).values, tables)
+        rep = block_idempotent(g).values
+        orbit, stabilizer = _conjugation_sweep(rep, tables)
         size = len(orbit)
-        stab = len(stabilizer)
+        stab = _stabilizer_order(rep, stabilizer)
         ok = size * stab == nfact
         all_ok &= ok
         rows += 1

@@ -203,8 +203,9 @@ def _swap_two_conjugators(monkeypatch):
 
     def sweep(values, tables):
         conjugators, stab = exact(values, tables)
-        # two members with one stabilizer trade conjugators, so conjugating
-        # Stab(r) by the wrong one still gives permutations that fix f
+        # two members with one stabilizer trade conjugators; each still
+        # carries Stab(r) onto the stabilizer of the member it is listed
+        # for, so only the test that it carries r there sees the swap
         by_stabilizer = {}
         for g in conjugators:
             fixing = frozenset(exact(g, tables)[1])
@@ -236,6 +237,70 @@ def test_burnside_count_fails_on_a_wrong_conjugator(monkeypatch, capsys):
     assert main(["pn", "4", "--method", "burnside"]) == 1
     assert swapped
     assert "116 is not divisible by 24" in capsys.readouterr().err
+
+
+def test_stabilizer_order_matches_the_brute_force_stabilizer():
+    for n in range(1, 6):
+        pad = bytes(255 - n)
+        tables = symmetric._permutation_tables(n)
+        for f in enumerate_idempotents(n):
+            stab = [
+                (bytes(s.backward), b"\0" + bytes(s.forward) + pad)
+                for s in stabilizer_bruteforce(f)
+            ]
+            assert symmetric._stabilizer_order(f.values, stab) == len(stab)
+            with pytest.raises(RuntimeError):
+                symmetric._stabilizer_order(f.values, stab + stab[:1])
+            outside = next((pair for pair in tables if pair not in stab), None)
+            if outside:
+                with pytest.raises(RuntimeError):
+                    symmetric._stabilizer_order(f.values, stab + [outside])
+
+
+# faults planted in the stabilizer list of one orbit of the sweep; each
+# takes the list and a permutation pair outside it
+STABILIZER_FAULTS = {
+    "extra": lambda stab, outside: stab + [outside],
+    "repeat": lambda stab, outside: stab + stab[:1],
+    "swap": lambda stab, outside: [outside] + stab[1:],
+}
+
+
+def _plant_stabilizer_fault(monkeypatch, fault):
+    """Plant fault in every sweep of the orbit of (1, 1, 3, 4) on [4],
+    whose stabilizer has order 2."""
+    exact = symmetric._conjugation_sweep
+
+    def sweep(values, tables):
+        conjugators, stab = exact(values, tables)
+        if bytes((1, 1, 3, 4)) in conjugators:
+            outside = next(pair for pair in tables if pair not in stab)
+            stab = fault(stab, outside)
+        return conjugators, stab
+
+    monkeypatch.setattr(symmetric, "_conjugation_sweep", sweep)
+
+
+@pytest.mark.parametrize("fault", sorted(STABILIZER_FAULTS))
+def test_every_exhaustive_route_fails_on_a_faulty_stabilizer_list(
+    monkeypatch, capsys, fault
+):
+    _plant_stabilizer_fault(monkeypatch, STABILIZER_FAULTS[fault])
+    with pytest.raises(RuntimeError, match="stabilizer of"):
+        list(verify._check_exhaustive_level(4))
+    with pytest.raises(RuntimeError, match="stabilizer of"):
+        symmetric.count_orbits_burnside(4)
+    for argv in (
+        ["pn", "4", "--method", "burnside"],
+        ["orbits", "4"],
+        ["verify", "--exhaustive", "4", "--formula", "1"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 4, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith("error: internal error: RuntimeError("), err
+        assert "Traceback" not in err
 
 
 def test_equivariance_fails_on_conjugation_from_the_wrong_side(monkeypatch):
